@@ -22,18 +22,9 @@ cargo build --release
 cargo test -q
 cargo test --workspace -q
 
-# sync-log is the workspace default now (the sharded simulator needs Sync
-# rollback logs); the tier-1 tests above already cover it. Keep the legacy
-# Cell-based path compiling for one release.
-echo "==> mar-core legacy Cell path (--no-default-features) still compiles"
-cargo check -p mar-core --no-default-features -q
-
 echo "==> shard equivalence: platform + kernel suites at shards {1,2,4}"
 cargo test -p mar-platform --test shard_equivalence_props -q
 cargo test -p mar-simnet shard -q
-
-echo "==> itinerary interning: equivalence + degraded-path suite"
-cargo test -p mar-platform --test itinerary_intern_props -q
 
 echo "==> stable backends: conformance + crash-injection suites, all backends"
 cargo test -p mar-simnet --test backend_conformance -q
@@ -124,12 +115,10 @@ if [[ "${1:-}" == "--bench" ]]; then
     cargo run --release -q -p mar-bench --bin bench_diff -- \
         "$baseline_dir/BENCH_macro.json" BENCH_macro.json --max-regression 3.0 \
         --require "e1_forward/" --require "e9_resident/" --require "e8_fleet/" \
-        --require "e10_stable/" --require "e11_itinerary/" --require "e12_net/" \
-        --require "e13_chaos/" \
+        --require "e10_stable/" --require "e12_net/" --require "e13_chaos/" \
         --min-derived "e8_fleet/agents1000/speedup_shards4:2.0" \
         --min-derived "e13_chaos/kill_uds/restarts:1.0" \
-        --min-derived "e10_stable/steady_state/commit_reduction:4.9" \
-        --min-derived "e11_itinerary/warm_fleet/byte_reduction:2.0"
+        --min-derived "e10_stable/steady_state/commit_reduction:4.9"
 fi
 
 echo "ci: all green"

@@ -4,7 +4,7 @@
 //! benches track the simulator's own efficiency on the same workloads.
 
 use mar_bench::harness::Bench;
-use mar_bench::{FleetScenario, ItineraryFleetScenario, Scenario, StableFactory, WalConfig};
+use mar_bench::{FleetScenario, Scenario, StableFactory, WalConfig};
 use mar_core::{LoggingMode, RollbackMode};
 use mar_simnet::SimDuration;
 use std::hint::black_box;
@@ -425,117 +425,13 @@ fn stable_backend_experiment(b: &mut Bench) {
     );
 }
 
-/// E11 — content-addressed itinerary interning: a warm fleet (6 agents
-/// sharing one itinerary-heavy, 12-hop route) with interning on vs the
-/// ship-inline-every-hop control, plus a cold single-agent first-lap arm.
-/// The deterministic asserts pin billed-size equivalence (identical virtual
-/// settle time and `net.bytes_sent` — reference-compressed Prepares are
-/// billed at their inline size); the derived numbers record the *actual*
-/// record-carrying migration bytes, where warm references must cut at
-/// least 2x, and the wall-clock arms track the shared-decode savings.
-fn itinerary_experiment(b: &mut Bench) {
-    let warm = |interning| ItineraryFleetScenario {
-        agents: 6,
-        nodes: 4,
-        laps: 6,
-        name_pad: 128,
-        seed: 47,
-        interning,
-        itinerary_cache: 256,
-        stable: StableFactory::reference(),
-    };
-    let on = warm(true).run();
-    let off = warm(false).run();
-    assert_eq!(
-        on.settle_us, off.settle_us,
-        "interning must not change the virtual schedule"
-    );
-    assert_eq!(on.steps_committed, off.steps_committed);
-    assert_eq!(on.net_bytes, off.net_bytes, "billed bytes must match");
-    assert_eq!(off.ref_transfers, 0);
-    assert!(on.ref_transfers > 0, "warm fleet must ship references");
-    assert_eq!(on.refetches, 0, "nothing evicts at cap 256");
-    assert_eq!(
-        on.migration_bytes + on.wire_bytes_saved,
-        off.migration_bytes,
-        "savings must account exactly for the inline-arm bytes"
-    );
-    let reduction = off.migration_bytes as f64 / on.migration_bytes as f64;
-    b.derive(
-        "e11_itinerary/warm_fleet/migration_bytes/inline",
-        off.migration_bytes as f64,
-    );
-    b.derive(
-        "e11_itinerary/warm_fleet/migration_bytes/interned",
-        on.migration_bytes as f64,
-    );
-    b.derive("e11_itinerary/warm_fleet/byte_reduction", reduction);
-    b.derive(
-        "e11_itinerary/warm_fleet/ref_transfers",
-        on.ref_transfers as f64,
-    );
-    b.derive(
-        "e11_itinerary/warm_fleet/wire_bytes_saved",
-        on.wire_bytes_saved as f64,
-    );
-    b.derive("e11_itinerary/warm_fleet/decode_hits", on.cache_hits as f64);
-
-    // The cold arm: one agent, one lap — every edge is first contact, so
-    // nothing ships by reference and the reduction is exactly 1.0. This is
-    // the bound a crash-cold node restarts from.
-    let cold = |interning| ItineraryFleetScenario {
-        agents: 1,
-        laps: 1,
-        interning,
-        ..warm(true)
-    };
-    let cold_on = cold(true).run();
-    let cold_off = cold(false).run();
-    assert_eq!(cold_on.ref_transfers, 0, "first contact ships inline");
-    assert_eq!(cold_on.migration_bytes, cold_off.migration_bytes);
-    b.derive(
-        "e11_itinerary/cold_single/migration_bytes",
-        cold_on.migration_bytes as f64,
-    );
-    b.derive(
-        "e11_itinerary/cold_single/byte_reduction",
-        cold_off.migration_bytes as f64 / cold_on.migration_bytes as f64,
-    );
-
-    // Wall-clock: the same warm fleet, interned vs inline — decode sharing
-    // and smaller payload encodes are the measured delta.
-    b.run("e11_itinerary/warm_fleet/interned_run", 8, 1, || {
-        black_box(warm(true).run());
-    });
-    b.run("e11_itinerary/warm_fleet/inline_run", 8, 1, || {
-        black_box(warm(false).run());
-    });
-    let on_ns = b
-        .ns_per_op("e11_itinerary/warm_fleet/interned_run")
-        .unwrap();
-    let off_ns = b.ns_per_op("e11_itinerary/warm_fleet/inline_run").unwrap();
-    b.derive("e11_itinerary/warm_fleet/decode_speedup", off_ns / on_ns);
-    eprintln!(
-        "e11_itinerary: warm fleet migration bytes {} -> {} ({reduction:.2}x, \
-         {} refs, {} bytes saved, {} shared decodes); wall {:.2}ms interned \
-         vs {:.2}ms inline",
-        off.migration_bytes,
-        on.migration_bytes,
-        on.ref_transfers,
-        on.wire_bytes_saved,
-        on.cache_hits,
-        on_ns / 1e6,
-        off_ns / 1e6,
-    );
-}
-
 /// E12 — the process/network boundary: the travel-agency fleet run
 /// in-process vs distributed across a driver plus two node hosts over
 /// loopback TCP and Unix-domain sockets. The deterministic asserts pin
 /// observational equivalence (reports, kernel counters, money audit all
 /// identical — the socket carries the same simulator-billed bytes, there
 /// is no second encode path); the derived numbers record the transport's
-/// own footprint (frames, relayed events, billed relay bytes, lockstep
+/// own footprint (frames, relayed events, relay bytes, lockstep
 /// windows) and the wall-clock cost of real sockets in the loop.
 fn net_experiment(b: &mut Bench) {
     use mar_net::host::run_host;
@@ -609,13 +505,13 @@ fn net_experiment(b: &mut Bench) {
             "e12 {arm}: kernel counters diverged"
         );
         let c = |k: &str| snap.counters.get(k).copied().unwrap_or(0);
-        let billed = c(netkeys::BILLED_BYTES);
+        let relayed = c(netkeys::RELAY_BYTES);
         // Relayed deliveries carry exactly their simulator-billed cost; the
         // relay subset can never exceed what the kernel billed in total.
-        assert!(billed > 0, "e12 {arm}: no cross-host traffic?");
+        assert!(relayed > 0, "e12 {arm}: no cross-host traffic?");
         assert!(
-            billed <= c("net.bytes_sent"),
-            "e12 {arm}: relay bytes {billed} exceed billed total {}",
+            relayed <= c("net.bytes_sent"),
+            "e12 {arm}: relay bytes {relayed} exceed billed total {}",
             c("net.bytes_sent")
         );
         b.derive(
@@ -626,7 +522,7 @@ fn net_experiment(b: &mut Bench) {
             format!("e12_net/{arm}/events_relayed"),
             c(netkeys::EVENTS_RELAYED) as f64,
         );
-        b.derive(format!("e12_net/{arm}/relay_billed_bytes"), billed as f64);
+        b.derive(format!("e12_net/{arm}/relay_billed_bytes"), relayed as f64);
         b.derive(format!("e12_net/{arm}/windows"), c(netkeys::WINDOWS) as f64);
         b.derive(
             format!("e12_net/{arm}/retransmits"),
@@ -928,9 +824,6 @@ fn main() {
 
     // E10 — stable-storage backends: reference vs WAL with group commit.
     stable_backend_experiment(&mut b);
-
-    // E11 — content-addressed itinerary interning: warm fleet vs inline.
-    itinerary_experiment(&mut b);
 
     // E12 — the process/network boundary: distributed vs in-process.
     net_experiment(&mut b);

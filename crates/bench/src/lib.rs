@@ -33,7 +33,7 @@ pub enum StepKind {
     /// Triggers one rollback of the current sub on first execution.
     RollbackOnce,
     /// Pure visit: touches no data at all, so the record stays minimal and
-    /// the itinerary dominates every migration (the E11 workload shape).
+    /// the itinerary dominates every migration.
     Noop,
 }
 
@@ -523,119 +523,6 @@ pub struct FleetStats {
     pub metrics: MetricsSnapshot,
 }
 
-/// The itinerary-interning scenario (macro experiment E11): `agents`
-/// agents all walking the *same* itinerary — `laps` cycles over the
-/// resource nodes, step names padded with `name_pad` bytes so the
-/// itinerary dominates every migration — with content-addressed interning
-/// on or off. After each directed edge's first traversal, every further
-/// migration over it ships an 8-byte itinerary reference instead of the
-/// tree, and each node decodes the shared tree once.
-#[derive(Debug, Clone)]
-pub struct ItineraryFleetScenario {
-    /// Fleet size (all agents share one itinerary ⇒ one content hash).
-    pub agents: usize,
-    /// Number of nodes (node 0 = shared home).
-    pub nodes: u32,
-    /// Cycles over nodes `1..nodes` per agent.
-    pub laps: usize,
-    /// Padding bytes appended to every step name (after the `#`, so the
-    /// behaviour dispatch is unaffected) — the itinerary-weight dial.
-    pub name_pad: usize,
-    /// World seed.
-    pub seed: u64,
-    /// Content-addressed interning on (the platform default) or off (the
-    /// ship-inline-every-hop control).
-    pub interning: bool,
-    /// Per-node intern-table capacity.
-    pub itinerary_cache: usize,
-    /// Stable-storage backend every node is built with.
-    pub stable: StableFactory,
-}
-
-impl ItineraryFleetScenario {
-    /// Runs the fleet to completion and collects the numbers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any agent fails to settle or complete.
-    pub fn run(&self) -> ItineraryStats {
-        let mut b = PlatformBuilder::new(self.nodes as usize)
-            .seed(self.seed)
-            .itinerary_interning(self.interning)
-            .itinerary_cache(self.itinerary_cache)
-            .stable_backend(self.stable.clone())
-            .behavior("bench", BenchAgent);
-        for n in 1..self.nodes {
-            b = b.resources(NodeId(n), RmRegistry::new);
-        }
-        let mut p = b.build();
-        let pad = "x".repeat(self.name_pad);
-        let nodes = self.nodes;
-        // One top-level sub per lap: completing a lap discards the rollback
-        // log (§4.4.2), so migrations carry at most one lap of log entries
-        // while the full multi-lap itinerary rides every hop — the
-        // itinerary-heavy shape this experiment measures.
-        let mut ib = ItineraryBuilder::main("I");
-        for lap in 0..self.laps {
-            let pad = &pad;
-            ib = ib.sub(format!("L{lap}"), |s| {
-                for n in 1..nodes {
-                    s.step(format!("noop#{lap}-{n}-{pad}"), n);
-                }
-            });
-        }
-        let itinerary = ib.build().expect("valid itinerary scenario");
-        let specs = (0..self.agents).map(|_| AgentSpec::new("bench", NodeId(0), itinerary.clone()));
-        let handles = p.launch_fleet(specs);
-        let settled = p.run_until_settled(&handles, SimDuration::from_secs(36_000));
-        assert!(settled, "itinerary fleet did not settle: {self:?}");
-        let mut settle_us = 0;
-        for h in &handles {
-            let report = p.report(*h).expect("report");
-            assert_eq!(report.outcome, ReportOutcome::Completed, "{h}: {self:?}");
-            settle_us = settle_us.max(report.finished_at_us);
-        }
-        let m = p.snapshot();
-        ItineraryStats {
-            settle_us,
-            steps_committed: m.counter("steps.committed"),
-            migration_bytes: m.counter("itinerary.migration_bytes"),
-            wire_bytes_saved: m.counter("itinerary.wire_bytes_saved"),
-            ref_transfers: m.counter("itinerary.ref_transfers"),
-            cache_hits: m.counter("itinerary.cache_hits"),
-            cache_misses: m.counter("itinerary.cache_misses"),
-            refetches: m.counter("itinerary.refetches"),
-            net_bytes: m.counter("net.bytes_sent"),
-            metrics: m,
-        }
-    }
-}
-
-/// The measured quantities of one [`ItineraryFleetScenario`] run.
-#[derive(Debug, Clone)]
-pub struct ItineraryStats {
-    /// Virtual time at which the last agent finished.
-    pub settle_us: u64,
-    /// Step transactions committed across the fleet.
-    pub steps_committed: u64,
-    /// Actual record-carrying `Prepare` payload bytes put on the wire.
-    pub migration_bytes: u64,
-    /// Bytes the reference form saved vs the inline encoding.
-    pub wire_bytes_saved: u64,
-    /// Migrations that shipped an itinerary reference.
-    pub ref_transfers: u64,
-    /// Intern-table hits (shared decodes).
-    pub cache_hits: u64,
-    /// Intern-table misses (first contact / unresolvable references).
-    pub cache_misses: u64,
-    /// Inline retransmissions after a receiver NACK.
-    pub refetches: u64,
-    /// Total (billed) network bytes sent.
-    pub net_bytes: u64,
-    /// Raw metrics for anything else.
-    pub metrics: MetricsSnapshot,
-}
-
 /// The measured quantities of one scenario run.
 #[derive(Debug, Clone)]
 pub struct RunStats {
@@ -833,45 +720,6 @@ mod tests {
         let commits = wal.metrics.counter("stable.commits");
         eprintln!("stable.writes={writes} stable.commits={commits}");
         assert!(commits > 0 && commits < writes, "group commit must batch");
-    }
-
-    #[test]
-    fn itinerary_interning_halves_warm_fleet_migration_bytes() {
-        let base = ItineraryFleetScenario {
-            agents: 6,
-            nodes: 4,
-            laps: 6,
-            name_pad: 128,
-            seed: 47,
-            interning: true,
-            itinerary_cache: 256,
-            stable: StableFactory::reference(),
-        };
-        let on = base.clone().run();
-        let off = ItineraryFleetScenario {
-            interning: false,
-            ..base
-        }
-        .run();
-        // Billed-size equivalence: the interned arm runs the identical
-        // virtual schedule and commits the identical steps.
-        assert_eq!(on.settle_us, off.settle_us);
-        assert_eq!(on.steps_committed, off.steps_committed);
-        assert_eq!(on.net_bytes, off.net_bytes, "billed bytes must match");
-        // …while the real wire traffic drops by at least 2x.
-        assert_eq!(off.ref_transfers, 0);
-        assert!(on.ref_transfers > 0, "warm fleet must ship references");
-        assert_eq!(on.refetches, 0, "nothing evicts at cap 256");
-        assert_eq!(
-            on.migration_bytes + on.wire_bytes_saved,
-            off.migration_bytes
-        );
-        assert!(
-            (off.migration_bytes as f64) >= 2.0 * on.migration_bytes as f64,
-            "expected >= 2x migration-byte reduction, got {} -> {}",
-            off.migration_bytes,
-            on.migration_bytes
-        );
     }
 
     #[test]

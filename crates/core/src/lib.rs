@@ -42,7 +42,6 @@ pub mod comp;
 mod costmodel;
 mod data;
 mod error;
-pub mod itinspan;
 pub mod log;
 pub mod planner;
 mod record;

@@ -19,12 +19,10 @@
 //!   is maintained incrementally from cached sizes; entries are encoded at
 //!   most once to be measured, never cloned.
 //!
-//! The cached sizes use interior mutability (`Cell` by default), so the log
-//! is not `Sync`; the platform is single-threaded per node, and a migrating
-//! agent is owned by exactly one node at a time (§2), so nothing shares a
-//! log across threads. The opt-in `sync-log` feature swaps the caches for
-//! atomics/locks (wire format and behaviour unchanged), making the log
-//! `Sync` for a future multi-threaded simulator.
+//! The cached sizes use interior mutability through atomics, so the log is
+//! `Send + Sync`: the sharded simulator runs nodes on worker threads, and
+//! a migrating agent is owned by exactly one node at a time (§2), so only
+//! reads are ever shared.
 
 use serde::de::{SeqAccess, Visitor};
 use serde::ser::{SerializeSeq, SerializeStruct};
@@ -1150,12 +1148,10 @@ mod tests {
         assert!(!back.is_dirty());
     }
 
-    /// The whole point of the `sync-log` feature: the size caches stop
-    /// blocking `Sync`, so a future multi-threaded simulator can share
-    /// read access to a log.
-    #[cfg(feature = "sync-log")]
+    /// The atomic size caches keep the log `Send + Sync`, which the sharded
+    /// simulator's worker threads rely on.
     #[test]
-    fn sync_log_feature_makes_the_log_send_and_sync() {
+    fn rollback_log_is_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<RollbackLog>();
     }

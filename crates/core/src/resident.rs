@@ -34,40 +34,38 @@ use mar_itinerary::{Cursor, Itinerary};
 
 use crate::data::DataSpace;
 use crate::error::CoreError;
-use crate::itinspan::{classify_span, SpanKind};
 use crate::log::{LogEntry, LoggingMode, RollbackLog};
 use crate::planner::RollbackMode;
 use crate::record::{AgentId, AgentRecord, AgentStatus};
 use crate::savepoint::SavepointTable;
 
 /// Number of fields in the serialized [`AgentRecord`] layout.
-pub(crate) const RECORD_FIELDS: u64 = 12;
+const RECORD_FIELDS: u64 = 12;
 /// Number of fields in the serialized [`RollbackLog`] layout
 /// (`entries`, `bytes`).
 const LOG_FIELDS: u64 = 2;
+/// Number of fields in the serialized [`Itinerary`] layout
+/// (`id`, `entries`, `order`).
+const ITINERARY_FIELDS: u64 = 3;
 
-/// The record's itinerary as a content-addressed wire span: the exact
-/// encoded bytes (shared), their stable content hash, and a decode-once
-/// tree.
+/// The record's itinerary as a wire span: the exact encoded bytes
+/// (shared) and a decode-once tree.
 ///
 /// The itinerary never changes after launch, so the slot treats its
 /// encoding as the source of truth: parsing a record captures the span
-/// without decoding it ([`mar_wire::content_hash64`] over the span is the
-/// agent-type-wide cache key), encoding splices the span back verbatim,
-/// and the decoded tree is built at most once per slot *family* — clones
-/// share the [`OnceLock`], so a per-node intern table handing out clones
-/// of one slot gives every record of that agent type the same
+/// without decoding it, encoding splices the span back verbatim, and the
+/// decoded tree is built at most once per slot *family* — clones share
+/// the [`OnceLock`], so every clone of one slot sees the same
 /// `Arc<Itinerary>`.
 #[derive(Debug, Clone)]
 pub struct ItinerarySlot {
-    hash: u64,
     bytes: Arc<[u8]>,
     tree: Arc<OnceLock<Arc<Itinerary>>>,
 }
 
 impl PartialEq for ItinerarySlot {
     fn eq(&self, other: &Self) -> bool {
-        self.hash == other.hash && self.bytes == other.bytes
+        self.bytes == other.bytes
     }
 }
 
@@ -76,21 +74,31 @@ impl ItinerarySlot {
     ///
     /// # Errors
     ///
-    /// Rejects spans that are not framed as an inline itinerary — in
-    /// particular the by-reference form, which must be rehydrated before a
-    /// record is parsed (stable storage never holds references).
+    /// Rejects spans that are not exactly one value framed as a 3-field
+    /// itinerary: other arities, truncated spans, and trailing bytes.
     pub fn from_span(span: &[u8]) -> Result<ItinerarySlot, CoreError> {
-        match classify_span(span)? {
-            SpanKind::Inline => Ok(ItinerarySlot {
-                hash: mar_wire::content_hash64(span),
-                bytes: span.into(),
-                tree: Arc::new(OnceLock::new()),
-            }),
-            SpanKind::Ref(hash) => Err(CoreError::CorruptLog(format!(
-                "record holds itinerary reference {hash:#018x}; \
-                 rehydrate before parsing"
-            ))),
+        let (slot, len) = ItinerarySlot::from_prefix(span)?;
+        if len != span.len() {
+            return Err(mar_wire::WireError::TrailingBytes(span.len() - len).into());
         }
+        Ok(slot)
+    }
+
+    /// Captures the itinerary encoded at the start of `bytes` without
+    /// decoding it, returning the slot and the span length.
+    fn from_prefix(bytes: &[u8]) -> Result<(ItinerarySlot, usize), CoreError> {
+        let (fields, _) = mar_wire::read_seq_header(bytes)?;
+        if fields != ITINERARY_FIELDS {
+            return Err(CoreError::CorruptLog(format!(
+                "itinerary span has {fields} fields, expected {ITINERARY_FIELDS}"
+            )));
+        }
+        let len = mar_wire::skip_value(bytes)?;
+        let slot = ItinerarySlot {
+            bytes: bytes[..len].into(),
+            tree: Arc::new(OnceLock::new()),
+        };
+        Ok((slot, len))
     }
 
     /// Builds a slot from a decoded tree (launch path), pre-seeding the
@@ -104,25 +112,14 @@ impl ItinerarySlot {
         let tree = Arc::new(OnceLock::new());
         let _ = tree.set(Arc::new(itinerary));
         Ok(ItinerarySlot {
-            hash: mar_wire::content_hash64(&bytes),
             bytes: bytes.into(),
             tree,
         })
     }
 
-    /// The stable content hash of the encoded span.
-    pub fn hash(&self) -> u64 {
-        self.hash
-    }
-
     /// The exact wire encoding of the itinerary.
     pub fn as_bytes(&self) -> &[u8] {
         &self.bytes
-    }
-
-    /// The encoding as a shared buffer (for intern tables).
-    pub fn shared_bytes(&self) -> Arc<[u8]> {
-        Arc::clone(&self.bytes)
     }
 
     /// Whether the tree has already been decoded (by this slot or any
@@ -173,7 +170,7 @@ pub struct LazyRecord<'a> {
     pub home: u32,
     /// Private data space (SRO + WRO).
     pub data: DataSpace,
-    /// The (immutable) itinerary as its content-addressed wire span.
+    /// The (immutable) itinerary as its wire span.
     pub itinerary: ItinerarySlot,
     /// Execution position.
     pub cursor: Cursor,
@@ -225,13 +222,11 @@ impl<'a> LazyRecord<'a> {
         let agent_type = field::<&str>(bytes, &mut off)?;
         let home = field::<u32>(bytes, &mut off)?;
         let data = field::<DataSpace>(bytes, &mut off)?;
-        // The itinerary is captured as its wire span: structurally skipped,
-        // hashed, never decoded here. The platform primes the decoded tree
-        // from its per-node intern table; a record that bypasses the table
-        // decodes lazily on first cursor access.
-        let it_start = off;
-        off += mar_wire::skip_value(&bytes[off..])?;
-        let itinerary = ItinerarySlot::from_span(&bytes[it_start..off])?;
+        // The itinerary is captured as its wire span: arity-checked and
+        // structurally skipped, never decoded here. It decodes lazily on
+        // first cursor access.
+        let (itinerary, n) = ItinerarySlot::from_prefix(&bytes[off..])?;
+        off += n;
         let cursor = field::<Cursor>(bytes, &mut off)?;
         let table = field::<SavepointTable>(bytes, &mut off)?;
         // The log: `SEQ(2) SEQ(n) entry*n bytes` — walk the entries without
@@ -472,7 +467,7 @@ pub struct ResidentRecord {
     pub home: u32,
     /// Private data space (SRO + WRO).
     pub data: DataSpace,
-    /// The (immutable) itinerary as its content-addressed wire span.
+    /// The (immutable) itinerary as its wire span.
     pub itinerary: ItinerarySlot,
     /// Execution position.
     pub cursor: Cursor,
@@ -848,22 +843,20 @@ mod tests {
     }
 
     #[test]
-    fn slot_hash_is_stable_across_construction_paths() {
+    fn slot_bytes_are_stable_across_construction_paths() {
         // Same tree, three roads to a slot: from the decoded tree, from the
         // span captured out of an encoded record, and from a tree rebuilt
-        // by decode. All must agree on bytes and hash — the hash is a wire
-        // commitment shared between nodes.
+        // by decode. All must agree on bytes.
         let tree = samples::fig6();
         let from_tree = ItinerarySlot::from_tree(tree.clone()).unwrap();
         let bytes = record().to_bytes().unwrap();
         let parsed = LazyRecord::parse(&bytes).unwrap().itinerary;
         let rebuilt = ItinerarySlot::from_tree(parsed.materialize().unwrap()).unwrap();
         assert_eq!(from_tree, parsed);
-        assert_eq!(from_tree.hash(), parsed.hash());
-        assert_eq!(from_tree.hash(), rebuilt.hash());
+        assert_eq!(from_tree, rebuilt);
         assert_eq!(
-            from_tree.hash(),
-            mar_wire::content_hash64(parsed.as_bytes())
+            from_tree.as_bytes(),
+            &mar_wire::to_bytes(&tree).unwrap()[..]
         );
     }
 
@@ -881,8 +874,34 @@ mod tests {
     }
 
     #[test]
-    fn slot_rejects_reference_spans() {
-        let stripped = crate::itinspan::encode_ref(0xDEAD_BEEF);
-        assert!(ItinerarySlot::from_span(&stripped).is_err());
+    fn slot_rejects_spans_that_are_not_one_inline_itinerary() {
+        // A one-field struct (the shape of a bare content reference).
+        let mut ser = mar_wire::BinSerializer::with_capacity(12);
+        ser.begin_struct(1);
+        ser.value(&0xDEAD_BEEF_u64).unwrap();
+        let one_field = ser.into_bytes();
+        let inline = mar_wire::to_bytes(&samples::fig6()).unwrap();
+        let truncated = &inline[..inline.len() - 1];
+        let mut padded = inline.clone();
+        padded.push(0);
+        for span in [&one_field[..], truncated, &padded[..], &[][..]] {
+            assert!(ItinerarySlot::from_span(span).is_err());
+        }
+        assert!(ItinerarySlot::from_span(&inline).is_ok());
+
+        // The same check guards `LazyRecord::parse`: a record whose
+        // itinerary span is the one-field struct fails at parse time.
+        let bytes = record().to_bytes().unwrap();
+        let (_, header) = mar_wire::read_seq_header(&bytes).unwrap();
+        let mut start = header;
+        for _ in 0..4 {
+            start += mar_wire::skip_value(&bytes[start..]).unwrap();
+        }
+        let end = start + mar_wire::skip_value(&bytes[start..]).unwrap();
+        let spliced = [&bytes[..start], &one_field[..], &bytes[end..]].concat();
+        assert!(matches!(
+            LazyRecord::parse(&spliced),
+            Err(CoreError::CorruptLog(_))
+        ));
     }
 }

@@ -74,13 +74,9 @@ pub mod netkeys {
     pub const FRAMES_RECEIVED: &str = "net.frames_received";
     /// Simulation deliveries relayed between processes.
     pub const EVENTS_RELAYED: &str = "net.events_relayed";
-    /// Simulator-billed bytes of relayed deliveries — the byte count the
-    /// schedule and `net.bytes_sent` accounting already charged.
-    pub const BILLED_BYTES: &str = "net.billed_bytes";
-    /// Actual payload bytes of relayed deliveries as shipped in frames
-    /// (≤ billed when reference compression trimmed a payload after
-    /// billing).
-    pub const PAYLOAD_BYTES: &str = "net.payload_bytes";
+    /// Payload bytes of relayed deliveries as shipped in frames — the same
+    /// bytes the schedule and `net.bytes_sent` accounting already charged.
+    pub const RELAY_BYTES: &str = "net.relay_bytes";
     /// Lockstep windows executed.
     pub const WINDOWS: &str = "net.windows";
     /// Deliveries dropped because the owning host was down.
@@ -103,8 +99,7 @@ pub mod netkeys {
             FRAMES_SENT,
             FRAMES_RECEIVED,
             EVENTS_RELAYED,
-            BILLED_BYTES,
-            PAYLOAD_BYTES,
+            RELAY_BYTES,
             WINDOWS,
             HOST_DOWN_DROPS,
             RECONNECTS,
@@ -218,6 +213,11 @@ struct NetState {
     down_grace: Duration,
     window_delay: Duration,
     rpc_seq: u64,
+    /// The latest virtual time any host may have reached: the last
+    /// issued window's final microsecond or run boundary. A restarted
+    /// host resumes here, so its recovery traffic can never land in the
+    /// past of a host that already ran the window it missed.
+    horizon_us: u64,
 }
 
 /// The distributed platform driver; see the module docs for the protocol.
@@ -290,6 +290,7 @@ impl NetPlatform {
             down_grace: cfg.down_grace,
             window_delay: cfg.window_delay,
             rpc_seq: 0,
+            horizon_us: 0,
         };
         let deadline = Instant::now() + cfg.accept_deadline;
         while net.slots.iter().any(|s| !s.session_live) {
@@ -310,7 +311,7 @@ impl NetPlatform {
     }
 
     /// Launches an agent — identical cost accounting to the in-process
-    /// platform (driver random stream, billed bytes, event key), with the
+    /// platform (driver random stream, byte accounting, event key), with the
     /// delivery relayed to the home node's host on the next window.
     pub fn launch(&mut self, spec: AgentSpec) -> AgentHandle {
         let (handle, addr, payload) = self.core.launch(spec);
@@ -507,7 +508,7 @@ impl NetState {
                 seed: self.seed,
                 n_nodes: self.n_nodes,
                 owned: self.owned[host_id as usize].clone(),
-                resume_us: self.world.now().as_micros(),
+                resume_us: self.horizon_us,
                 resume_ok,
             },
         )?;
@@ -745,13 +746,11 @@ impl NetState {
                 }
                 let batch_min = events.iter().map(|e| e.at_us).min();
                 let relayed = events.len() as u64;
-                let billed: u64 = events.iter().map(|e| e.billed).sum();
                 let payload: u64 = events.iter().map(|e| e.payload.len() as u64).sum();
                 if self.send_to(h, &NetMsg::Inject { events }) {
                     injected_min = min_opt(injected_min, batch_min);
                     self.world.metrics().add(netkeys::EVENTS_RELAYED, relayed);
-                    self.world.metrics().add(netkeys::BILLED_BYTES, billed);
-                    self.world.metrics().add(netkeys::PAYLOAD_BYTES, payload);
+                    self.world.metrics().add(netkeys::RELAY_BYTES, payload);
                 } else {
                     self.world.metrics().add(netkeys::HOST_DOWN_DROPS, relayed);
                 }
@@ -774,6 +773,7 @@ impl NetState {
                 .saturating_add(self.lookahead_us)
                 .min(target_us.saturating_add(1))
                 .max(m + 1);
+            self.horizon_us = end - 1;
             let mut running = Vec::with_capacity(self.slots.len());
             for h in 0..self.slots.len() {
                 if !self.slots[h].failed && self.send_to(h, &NetMsg::RunWindow { end_us: end }) {
@@ -790,6 +790,7 @@ impl NetState {
             }
         }
         // Quiescent before the boundary: finalize every clock at it.
+        self.horizon_us = target_us;
         for h in 0..self.slots.len() {
             if !self.slots[h].failed && self.send_to(h, &NetMsg::AdvanceTo { target_us }) {
                 let _ = self.recv_reply(h, &Expect::AdvanceDone);

@@ -44,8 +44,9 @@ use crate::transport::Transport;
 /// Protocol revision; a [`NetMsg::Hello`]/[`NetMsg::Topology`] version
 /// mismatch is a handshake failure. Revision 2 added the envelope `ack`
 /// field, session resumption, and the `Hello.resume`/`Topology.resume_ok`
-/// handshake bits.
-pub const PROTOCOL_VERSION: u32 = 2;
+/// handshake bits; revision 3 dropped the `billed` field of the
+/// [`RemoteEvent`]s carried by [`NetMsg::Inject`].
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// Messages exchanged between the driver and a node host.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

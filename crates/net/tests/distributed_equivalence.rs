@@ -93,6 +93,12 @@ fn assert_equivalent(
             > 0
     );
     assert!(dist.2.counters.get(netkeys::WINDOWS).copied().unwrap_or(0) > 0);
+    // Socket bytes = simulator-billed bytes: every relayed delivery is a
+    // message the simulator already charged to `net.bytes_sent`.
+    let relayed = dist.2.counters.get(netkeys::RELAY_BYTES).copied();
+    let billed = control.2.counters.get("net.bytes_sent").copied();
+    assert!(relayed.unwrap_or(0) > 0);
+    assert!(relayed <= billed, "relayed {relayed:?} > billed {billed:?}");
 }
 
 fn uds_path(tag: &str) -> PathBuf {

@@ -7,10 +7,15 @@ use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 
-use mar_net::host::{serve, HostExit};
-use mar_net::proto::{NetMsg, Peer, RpcOp, RpcReply};
+use std::time::Duration;
+
+use mar_net::host::{serve, HostExit, HostRuntime, ServeCtl};
+use mar_net::proto::{recv_ctl, send_ctl, NetMsg, Peer, RpcOp, RpcReply, PROTOCOL_VERSION};
 use mar_net::scenarios::{self, TRAVEL, TRAVEL_NODES};
-use mar_net::transport::{Endpoint, Listener, Loopback, SocketTransport, Transport};
+use mar_net::transport::{
+    ChannelAcceptor, Endpoint, Listener, Loopback, SocketTransport, Transport,
+};
+use mar_net::{NetCfg, NetPlatform};
 use mar_simnet::{NodeId, World};
 
 /// A full travel world owned by one "host", started and ready to serve.
@@ -226,4 +231,64 @@ fn trailing_bytes_after_envelope_kill_the_connection() {
     frame.extend_from_slice(b"junk");
     raw.send(&frame).unwrap();
     assert_eq!(join.join().unwrap(), io::ErrorKind::InvalidData);
+}
+
+#[test]
+fn driver_refuses_a_host_speaking_an_older_protocol() {
+    let (tx, acceptor) = ChannelAcceptor::new();
+    let (mut host, driver_end) = Loopback::pair();
+    send_ctl(
+        &mut host,
+        &NetMsg::Hello {
+            version: 2,
+            host_id: 0,
+            resume: false,
+        },
+    )
+    .unwrap();
+    tx.send(Box::new(driver_end)).unwrap();
+    let mut cfg = NetCfg::new(Endpoint::Unix(PathBuf::new()), 1, TRAVEL, 5);
+    cfg.accept_deadline = Duration::from_millis(200);
+    // The mismatched host never joins, so startup ends in a typed error
+    // instead of a world driven by a peer that misreads its frames.
+    let err = NetPlatform::start_with(Box::new(acceptor), cfg)
+        .err()
+        .expect("driver must not start with a v2 host");
+    assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+    // The host's connection was dropped without a Topology reply.
+    assert!(recv_ctl(&mut host).unwrap().is_none());
+}
+
+#[test]
+fn host_refuses_a_topology_from_another_protocol() {
+    let (mut driver, host_end) = Loopback::pair();
+    let join = std::thread::spawn(move || {
+        let mut rt = HostRuntime::new(0, None, ServeCtl::default());
+        rt.run_conn(Box::new(host_end))
+    });
+    match recv_ctl(&mut driver).unwrap() {
+        Some(NetMsg::Hello { version, .. }) => assert_eq!(version, PROTOCOL_VERSION),
+        other => panic!("expected Hello, got {other:?}"),
+    }
+    send_ctl(
+        &mut driver,
+        &NetMsg::Topology {
+            version: PROTOCOL_VERSION + 1,
+            scenario: TRAVEL.to_owned(),
+            seed: 5,
+            n_nodes: TRAVEL_NODES,
+            owned: (0..TRAVEL_NODES).collect(),
+            resume_us: 0,
+            resume_ok: false,
+        },
+    )
+    .unwrap();
+    let err = join.join().unwrap().unwrap_err();
+    assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    assert!(
+        err.to_string().contains("protocol version mismatch"),
+        "{err}"
+    );
+    // The host hung up instead of building a world or answering Ready.
+    assert!(recv_ctl(&mut driver).unwrap().is_none());
 }

@@ -224,27 +224,6 @@ impl PlatformBuilder {
         self
     }
 
-    /// Enables (or disables) content-addressed itinerary interning: nodes
-    /// intern encoded itineraries by FNV-64 hash, migrations to a
-    /// destination known to hold the hash ship an 8-byte reference instead
-    /// of the tree, and each node decodes a given itinerary at most once
-    /// (`Arc`-shared thereafter). The simulated schedule, traces, and byte
-    /// counters are billed at the inline size either way — only the
-    /// `itinerary.*` metrics (and real wall-clock/wire costs) change.
-    /// **On by default**; disable for the E11 control arm.
-    pub fn itinerary_interning(mut self, on: bool) -> Self {
-        self.mole_cfg.itinerary_interning = on;
-        self
-    }
-
-    /// Caps the per-node itinerary intern table (distinct itineraries,
-    /// LRU-evicted; minimum 1). Evictions are safe: a reference the
-    /// receiver can no longer resolve is NACKed and retransmitted inline.
-    pub fn itinerary_cache(mut self, cap: usize) -> Self {
-        self.mole_cfg.itinerary_cache = cap;
-        self
-    }
-
     /// Registers an agent behaviour. A duplicate name is recorded and
     /// surfaces as a [`BuildError`] from [`PlatformBuilder::try_build`] —
     /// the first registration stays active, so the error cannot be masked

@@ -16,10 +16,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use mar_core::comp::CompOpRegistry;
-use mar_core::itinspan::{classify_span, encode_ref, itinerary_span, splice_span, SpanKind};
 use mar_core::{
     plan_batch, plan_single, start_rollback, AfterRound, AgentRecord, AgentStatus, CompError,
-    CostModel, Destination, ItinerarySlot, ResidentRecord, StartPlan,
+    CostModel, Destination, ResidentRecord, StartPlan,
 };
 use mar_simnet::{Address, Ctx, NodeId, Service, SimDuration};
 use mar_txn::{
@@ -154,30 +153,6 @@ pub mod keys {
     /// Queue items parsed from stable bytes (cache cold, disabled, or the
     /// agent just arrived / retried).
     pub const RESIDENT_MISSES: &str = "resident.misses";
-    /// Itinerary intern-table lookups that found the content hash already
-    /// interned (a parsed record adopting the shared decode, or an inbound
-    /// reference resolving).
-    pub const ITINERARY_CACHE_HITS: &str = "itinerary.cache_hits";
-    /// Intern-table lookups that came up empty: a newly interned itinerary,
-    /// or an inbound reference this node could not resolve (NACKed).
-    pub const ITINERARY_CACHE_MISSES: &str = "itinerary.cache_misses";
-    /// Inline retransmits of a `Prepare` after a receiver NACKed its
-    /// itinerary reference ([`MoleMsg::ItineraryMiss`](crate::MoleMsg::ItineraryMiss)).
-    pub const ITINERARY_REFETCHES: &str = "itinerary.refetches";
-    /// Interned itineraries dropped by the LRU cap
-    /// ([`MoleCfg::itinerary_cache`](crate::MoleCfg::itinerary_cache)).
-    pub const ITINERARY_EVICTIONS: &str = "itinerary.evictions";
-    /// `Prepare` messages that shipped the agent record with its itinerary
-    /// replaced by a content-hash reference frame.
-    pub const ITINERARY_REF_TRANSFERS: &str = "itinerary.ref_transfers";
-    /// Wire bytes the reference form saved versus the inline encoding of
-    /// the same message (the schedule is still billed at the inline size;
-    /// this counter is where the real savings surface).
-    pub const ITINERARY_WIRE_BYTES_SAVED: &str = "itinerary.wire_bytes_saved";
-    /// Actual wire bytes of `Prepare` messages carrying an agent record
-    /// (reference-compressed or not) — the denominator for the E11
-    /// migration-byte reduction.
-    pub const ITINERARY_MIGRATION_BYTES: &str = "itinerary.migration_bytes";
 }
 
 /// How the runtime decides, per compensation batch with remote resource
@@ -242,20 +217,6 @@ pub struct MoleCfg {
     /// crash simply falls back to re-parsing those bytes. On by default;
     /// disable for the E9 control arm.
     pub resident_cache: bool,
-    /// Content-address the itinerary (see `docs/ARCHITECTURE.md`,
-    /// "Itinerary interning"): each node interns encoded itineraries by
-    /// their FNV-64 content hash, records shipped to a destination known to
-    /// hold the hash carry an 8-byte reference instead of the tree, and a
-    /// receiver that cannot resolve a reference NACKs for one inline
-    /// retransmit. The simulated schedule, traces, and byte counters are
-    /// billed at the inline size either way, so turning this off changes
-    /// only the `itinerary.*` metrics. On by default; off is the E11
-    /// control arm.
-    pub itinerary_interning: bool,
-    /// LRU capacity of the per-node itinerary intern table, in distinct
-    /// itineraries (minimum 1). Evictions are safe — a stale reference is
-    /// healed by the NACK/retransmit path.
-    pub itinerary_cache: usize,
 }
 
 impl Default for MoleCfg {
@@ -271,8 +232,6 @@ impl Default for MoleCfg {
             rollback_routing: RollbackRouting::default(),
             cost_model: CostModel::default(),
             resident_cache: true,
-            itinerary_interning: true,
-            itinerary_cache: 256,
         }
     }
 }
@@ -293,20 +252,6 @@ struct ActiveTxn {
     /// `put_queue` entry for the same key, so cache and stable storage can
     /// never diverge. Dropped on abort.
     resident: Option<ResidentRecord>,
-    /// Destinations whose `Prepare` branch carries the agent record
-    /// (reference-compressed or not) — where `itinerary.migration_bytes`
-    /// accrues.
-    record_branches: Vec<NodeId>,
-    /// For each reference-compressed branch: the destination, the itinerary
-    /// hash the compression assumed it holds, and the self-contained inline
-    /// work. The inline copy prices the billed message size and answers a
-    /// NACK without depending on the (evictable) intern table.
-    stripped: Vec<(NodeId, u64, RemoteWork)>,
-    /// `(dest, hash)` pairs that become "known at dest" when this
-    /// transaction commits: the receiver interns at apply time, strictly
-    /// before the coordinator sees the final ack, so the sender never
-    /// assumes knowledge the receiver does not have.
-    advertise: Vec<(NodeId, u64)>,
 }
 
 enum ItemError {
@@ -349,18 +294,6 @@ pub struct MoleService {
     /// without the key, so recovery re-decodes from stable bytes exactly
     /// as before.
     resident: BTreeMap<String, ResidentRecord>,
-    /// Volatile itinerary intern table: content hash → slot holding the
-    /// encoded bytes and the (lazily) decoded tree, shared by `Arc` with
-    /// every record that adopted it. A crash leaves it cold by design — the
-    /// crash-cold invariant the equivalence tests pin.
-    interned: BTreeMap<u64, ItinerarySlot>,
-    /// LRU order of `interned` (front = coldest), capped at
-    /// [`MoleCfg::itinerary_cache`].
-    intern_lru: Vec<u64>,
-    /// Per-destination itinerary hashes this node has successfully shipped
-    /// inline (committed), i.e. hashes the destination interned. Volatile:
-    /// after a crash everything ships inline again until re-advertised.
-    known: BTreeMap<NodeId, BTreeSet<u64>>,
 }
 
 impl MoleService {
@@ -387,9 +320,6 @@ impl MoleService {
             tag_map: BTreeMap::new(),
             outbox_sent: BTreeMap::new(),
             resident: BTreeMap::new(),
-            interned: BTreeMap::new(),
-            intern_lru: Vec::new(),
-            known: BTreeMap::new(),
         }
     }
 
@@ -401,56 +331,12 @@ impl MoleService {
     // ----- plumbing ---------------------------------------------------------
 
     fn send_tx(&self, ctx: &mut Ctx<'_>, to: NodeId, msg: TxMsg) {
-        // Prepares carrying an agent record are billed at their *inline*
-        // size even when the itinerary ships as a reference: latency,
-        // `net.bytes_sent`, and both trace records are computed from the
-        // billed size, so the simulated schedule is independent of the
-        // (volatile) intern-table state. The real savings are recorded in
-        // the `itinerary.*` counters instead.
-        let mut billed = None;
-        if let TxMsg::Prepare { txn, work } = &msg {
-            if let Some(at) = self.active.get(txn) {
-                if at.record_branches.contains(&to) {
-                    let inline = at
-                        .stripped
-                        .iter()
-                        .find(|(n, _, w)| *n == to && w != work)
-                        .map(|(_, _, w)| {
-                            MoleMsg::Tx {
-                                from: ctx.node(),
-                                msg: TxMsg::Prepare {
-                                    txn: *txn,
-                                    work: w.clone(),
-                                },
-                            }
-                            .encode()
-                            .len()
-                        });
-                    billed = Some(inline);
-                }
-            }
-        }
         let payload = MoleMsg::Tx {
             from: ctx.node(),
             msg,
         }
         .encode();
-        match billed {
-            Some(inline_len) => {
-                ctx.metrics()
-                    .add(keys::ITINERARY_MIGRATION_BYTES, payload.len() as u64);
-                match inline_len {
-                    Some(b) if b > payload.len() => {
-                        ctx.metrics().inc(keys::ITINERARY_REF_TRANSFERS);
-                        ctx.metrics()
-                            .add(keys::ITINERARY_WIRE_BYTES_SAVED, (b - payload.len()) as u64);
-                        ctx.send_billed(Address::new(to, MOLE), payload, b);
-                    }
-                    _ => ctx.send(Address::new(to, MOLE), payload),
-                }
-            }
-            None => ctx.send(Address::new(to, MOLE), payload),
-        }
+        ctx.send(Address::new(to, MOLE), payload);
     }
 
     fn alloc_txn(&mut self, ctx: &mut Ctx<'_>) -> TxnId {
@@ -462,11 +348,6 @@ impl MoleService {
     }
 
     fn enqueue_local(&mut self, ctx: &mut Ctx<'_>, bytes: Vec<u8>) {
-        // Every record entering the queue from outside (launch or committed
-        // transfer) interns its itinerary: this is the receiver half of the
-        // known-hash protocol — it runs before the decision is acked, so by
-        // the time the sender marks the hash known here, it is.
-        self.intern_record_bytes(ctx, &bytes);
         let seq: u64 = ctx
             .stable_get(KEY_QSEQ)
             .and_then(|b| mar_wire::from_slice(b).ok())
@@ -475,176 +356,6 @@ impl MoleService {
         ctx.stable_put(KEY_QSEQ, mar_wire::to_bytes(&seq).unwrap());
         ctx.stable_put(format!("{Q_PREFIX}{seq:012}"), bytes);
         self.kick(ctx);
-    }
-
-    // ----- itinerary interning ----------------------------------------------
-
-    /// Interns a slot (keyed by its content hash), returning the table's
-    /// copy so callers share one decoded tree. On a hash collision with
-    /// different bytes the table keeps its existing entry and the new slot
-    /// is returned un-interned — FNV-64 is a cache key, not a cryptographic
-    /// identity, and a collision only costs the sharing.
-    fn intern(&mut self, ctx: &mut Ctx<'_>, slot: ItinerarySlot) -> ItinerarySlot {
-        let hash = slot.hash();
-        if let Some(existing) = self.interned.get(&hash) {
-            if existing.as_bytes() == slot.as_bytes() {
-                ctx.metrics().inc(keys::ITINERARY_CACHE_HITS);
-                let shared = existing.clone();
-                self.touch_lru(hash);
-                return shared;
-            }
-            return slot;
-        }
-        ctx.metrics().inc(keys::ITINERARY_CACHE_MISSES);
-        self.interned.insert(hash, slot.clone());
-        self.intern_lru.push(hash);
-        while self.interned.len() > self.cfg.itinerary_cache.max(1) {
-            let victim = self.intern_lru.remove(0);
-            self.interned.remove(&victim);
-            ctx.metrics().inc(keys::ITINERARY_EVICTIONS);
-        }
-        slot
-    }
-
-    fn touch_lru(&mut self, hash: u64) {
-        if let Some(pos) = self.intern_lru.iter().position(|h| *h == hash) {
-            self.intern_lru.remove(pos);
-            self.intern_lru.push(hash);
-        }
-    }
-
-    /// Interns the (inline) itinerary section of encoded record bytes
-    /// without decoding anything — a span scan plus a hash. Reference
-    /// sections and malformed records are skipped; the later full parse
-    /// reports those.
-    fn intern_record_bytes(&mut self, ctx: &mut Ctx<'_>, bytes: &[u8]) {
-        if !self.cfg.itinerary_interning {
-            return;
-        }
-        let Ok(span) = itinerary_span(bytes) else {
-            return;
-        };
-        let Ok(slot) = ItinerarySlot::from_span(&bytes[span]) else {
-            return;
-        };
-        self.intern(ctx, slot);
-    }
-
-    /// Swaps a freshly parsed record's itinerary slot for the interned copy
-    /// so all records of one agent type share a single decoded tree. The
-    /// record's value is unchanged (same hash, same bytes) — only the
-    /// decode is shared.
-    fn prime_record(&mut self, ctx: &mut Ctx<'_>, rec: &mut ResidentRecord) {
-        if !self.cfg.itinerary_interning {
-            return;
-        }
-        rec.itinerary = self.intern(ctx, rec.itinerary.clone());
-    }
-
-    /// Resolves itinerary references in inbound prepare work, splicing the
-    /// interned bytes back so everything downstream (validation, stable
-    /// queues, application) sees the self-contained inline form — stable
-    /// storage never holds a reference. `Err(hash)` means an unresolvable
-    /// reference: the caller NACKs instead of voting.
-    fn admit_work(&mut self, ctx: &mut Ctx<'_>, work: RemoteWork) -> Result<RemoteWork, u64> {
-        match work.kind.as_str() {
-            "enqueue-fwd" | "enqueue-rbk" => {
-                let Ok(span) = itinerary_span(&work.payload) else {
-                    return Ok(work); // malformed: the parse path rejects it
-                };
-                match classify_span(&work.payload[span.clone()]) {
-                    Ok(SpanKind::Inline) => Ok(work),
-                    Ok(SpanKind::Ref(hash)) => match self.interned.get(&hash) {
-                        Some(slot) => {
-                            ctx.metrics().inc(keys::ITINERARY_CACHE_HITS);
-                            let payload = splice_span(&work.payload, span, slot.as_bytes());
-                            self.touch_lru(hash);
-                            Ok(RemoteWork::new(work.kind.as_str(), payload))
-                        }
-                        None => {
-                            ctx.metrics().inc(keys::ITINERARY_CACHE_MISSES);
-                            Err(hash)
-                        }
-                    },
-                    // A truncated/garbled reference frame cannot name its
-                    // hash; NACK with 0 — the coordinator rehydrates the
-                    // whole branch from its own copy, hash regardless.
-                    Err(_) => Err(0),
-                }
-            }
-            "batch" => {
-                let Ok(works) = mar_wire::from_slice::<Vec<RemoteWork>>(&work.payload) else {
-                    return Ok(work);
-                };
-                let mut out = Vec::with_capacity(works.len());
-                let mut changed = false;
-                for w in works {
-                    let before = w.clone();
-                    let admitted = self.admit_work(ctx, w)?;
-                    changed |= admitted != before;
-                    out.push(admitted);
-                }
-                if changed {
-                    let payload = mar_wire::to_bytes(&out).expect("batch encodes");
-                    Ok(RemoteWork::new("batch", payload))
-                } else {
-                    Ok(work)
-                }
-            }
-            _ => Ok(work),
-        }
-    }
-
-    /// Sender half of the protocol: if `work` carries a record whose
-    /// (inline) itinerary the destination is known to hold, returns the
-    /// reference-compressed work and the assumed hash. Otherwise interns
-    /// the itinerary locally and queues a `(dest, hash)` advertisement for
-    /// commit time.
-    fn strip_work(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        dest: NodeId,
-        work: &RemoteWork,
-        advertise: &mut Vec<(NodeId, u64)>,
-    ) -> Option<(u64, RemoteWork)> {
-        if !self.cfg.itinerary_interning {
-            return None;
-        }
-        match work.kind.as_str() {
-            "enqueue-fwd" | "enqueue-rbk" => {
-                let span = itinerary_span(&work.payload).ok()?;
-                // `from_span` accepts only the inline form, so an already
-                // (or never) compressible section falls through untouched.
-                let slot = ItinerarySlot::from_span(&work.payload[span.clone()]).ok()?;
-                let slot = self.intern(ctx, slot);
-                let hash = slot.hash();
-                if self.known.get(&dest).is_some_and(|s| s.contains(&hash)) {
-                    let payload = splice_span(&work.payload, span, &encode_ref(hash));
-                    Some((hash, RemoteWork::new(work.kind.as_str(), payload)))
-                } else {
-                    advertise.push((dest, hash));
-                    None
-                }
-            }
-            "batch" => {
-                let works: Vec<RemoteWork> = mar_wire::from_slice(&work.payload).ok()?;
-                let mut hash = None;
-                let out: Vec<RemoteWork> = works
-                    .iter()
-                    .map(|w| match self.strip_work(ctx, dest, w, advertise) {
-                        Some((h, s)) => {
-                            hash = Some(h);
-                            s
-                        }
-                        None => w.clone(),
-                    })
-                    .collect();
-                let h = hash?;
-                let payload = mar_wire::to_bytes(&out).expect("batch encodes");
-                Some((h, RemoteWork::new("batch", payload)))
-            }
-            _ => None,
-        }
     }
 
     fn kick(&mut self, ctx: &mut Ctx<'_>) {
@@ -872,12 +583,6 @@ impl MoleService {
             return;
         };
         if committed {
-            // The receiver interned the inline itinerary when it applied the
-            // enqueue (before acking), so marking it known only now keeps
-            // the "sender assumes ⇒ receiver holds" invariant.
-            for (dest, hash) in &at.advertise {
-                self.known.entry(*dest).or_default().insert(*hash);
-            }
             self.processing.remove(&at.queue_key);
             self.attempts.remove(&at.queue_key);
             self.kick(ctx);
@@ -1006,13 +711,7 @@ impl MoleService {
                 };
                 ctx.metrics().inc(keys::RESIDENT_MISSES);
                 match parsed {
-                    Ok(mut r) => {
-                        // Adopt the interned itinerary: at most one decode
-                        // of each distinct tree per node, however many
-                        // agents carry it.
-                        self.prime_record(ctx, &mut r);
-                        r
-                    }
+                    Ok(r) => r,
                     Err(e) => {
                         // Unreadable queue item: drop it (cannot even fail
                         // the agent).
@@ -1065,7 +764,7 @@ impl MoleService {
             Err(ItemError::Permanent(reason)) => {
                 // The working copy was consumed by the failed attempt; the
                 // pristine pre-step record is still in stable storage.
-                match self.stable_record(ctx, key) {
+                match stable_record(ctx, key) {
                     Some(record) => self.fail_agent(ctx, key, record, reason),
                     None => {
                         ctx.trace("bad-queue-item", reason);
@@ -1075,23 +774,6 @@ impl MoleService {
                 }
             }
         }
-    }
-
-    /// Re-reads the pristine record from the stable queue — the cold paths'
-    /// (failure, rollback start, cost migration) source of truth. Parses
-    /// lazily and adopts the interned itinerary before materializing, so
-    /// even these paths never re-decode a tree the node already holds.
-    fn stable_record(&mut self, ctx: &mut Ctx<'_>, key: &str) -> Option<AgentRecord> {
-        self.stable_resident(ctx, key)?.into_record().ok()
-    }
-
-    /// Like [`stable_record`](Self::stable_record) but stays in resident
-    /// (lazy) form.
-    fn stable_resident(&mut self, ctx: &mut Ctx<'_>, key: &str) -> Option<ResidentRecord> {
-        let bytes = ctx.stable_get(key)?;
-        let mut rec = ResidentRecord::from_bytes(bytes).ok()?;
-        self.prime_record(ctx, &mut rec);
-        Some(rec)
     }
 
     fn fail_agent(
@@ -1125,9 +807,6 @@ impl MoleService {
                 queue_key: key.to_owned(),
                 effects,
                 resident: None,
-                record_branches: Vec::new(),
-                stripped: Vec::new(),
-                advertise: Vec::new(),
             },
         );
         let actions = self.co.commit_request(txn, Vec::new());
@@ -1291,37 +970,12 @@ impl MoleService {
                 }
             })
             .collect();
-        // Content-address the outgoing record: branches whose destination
-        // already holds the itinerary ship an 8-byte reference; the inline
-        // original is retained for billing and for a possible NACK.
-        let mut record_branches = Vec::new();
-        let mut stripped = Vec::new();
-        let mut advertise = Vec::new();
-        let branches: Vec<(NodeId, RemoteWork)> = branches
-            .into_iter()
-            .map(|(node, work)| {
-                if !work_carries_record(&work) {
-                    return (node, work);
-                }
-                record_branches.push(node);
-                match self.strip_work(ctx, node, &work, &mut advertise) {
-                    Some((hash, compact)) => {
-                        stripped.push((node, hash, work));
-                        (node, compact)
-                    }
-                    None => (node, work),
-                }
-            })
-            .collect();
         self.active.insert(
             txn,
             ActiveTxn {
                 queue_key: key.to_owned(),
                 effects,
                 resident,
-                record_branches,
-                stripped,
-                advertise,
             },
         );
         let actions = self.co.commit_request(txn, branches);
@@ -1500,8 +1154,7 @@ impl MoleService {
                 // stable queue; this is the cold path.
                 self.rms.abort_all(txn);
                 drop(rec);
-                let original = self
-                    .stable_record(ctx, key)
+                let original = stable_record(ctx, key)
                     .ok_or_else(|| ItemError::Permanent("queue item vanished".to_owned()))?;
                 self.start_rollback_txn(ctx, key, original, scope, rollback_memos)
             }
@@ -1607,7 +1260,6 @@ impl MoleService {
         };
         let mut rb =
             ResidentRecord::from_record(rb).map_err(|e| ItemError::Permanent(e.to_string()))?;
-        self.prime_record(ctx, &mut rb);
         match plan {
             StartPlan::AlreadyAtTarget(restore) => {
                 rb.apply_restore(*restore);
@@ -1728,10 +1380,8 @@ impl MoleService {
                 )
             {
                 // Ship the *unplanned* record (the batch re-plans at the
-                // destination): re-read it from the stable queue, sharing
-                // the interned itinerary instead of a full decode.
-                let mut fresh = self
-                    .stable_resident(ctx, key)
+                // destination): re-read it from the stable queue.
+                let mut fresh = stable_resident(ctx, key)
                     .ok_or_else(|| ItemError::Permanent("queue item vanished".to_owned()))?;
                 let bytes = self.encode_for_transfer(ctx, &mut fresh)?;
                 let effects = Effects {
@@ -1811,7 +1461,6 @@ impl MoleService {
         };
         let mut rb =
             ResidentRecord::from_record(rb).map_err(|e| ItemError::Permanent(e.to_string()))?;
-        self.prime_record(ctx, &mut rb);
         match batch.after {
             AfterRound::Reached(restore) => {
                 rb.apply_restore(*restore);
@@ -1890,29 +1539,6 @@ impl Service for MoleService {
                 ctx.stable_delete(&key);
                 self.outbox_sent.remove(&key);
             }
-            MoleMsg::ItineraryMiss { txn, hash } => {
-                // The receiver could not resolve the itinerary reference we
-                // shipped: forget the assumption and re-send the branch
-                // inline from our retained copy. Stale reports (settled
-                // transaction, vote already in) fall through silently.
-                let hit = self.active.get(&txn).and_then(|at| {
-                    at.stripped
-                        .iter()
-                        .find(|(n, _, _)| *n == from.node)
-                        .map(|(_, h, w)| (*h, w.clone()))
-                });
-                if let Some((assumed, inline)) = hit {
-                    if let Some(set) = self.known.get_mut(&from.node) {
-                        set.remove(&assumed);
-                        set.remove(&hash);
-                    }
-                    let actions = self.co.replace_work(txn, from.node, inline);
-                    if !actions.is_empty() {
-                        ctx.metrics().inc(keys::ITINERARY_REFETCHES);
-                    }
-                    self.run_actions(ctx, actions);
-                }
-            }
             MoleMsg::Tx { from, msg } => {
                 let actions = match msg {
                     TxMsg::Prepare { txn, work } => {
@@ -1925,23 +1551,8 @@ impl Service for MoleService {
                         if self.pa.is_known(txn) {
                             self.pa.on_prepare(txn, from, work, true)
                         } else {
-                            match self.admit_work(ctx, work) {
-                                Ok(work) => {
-                                    let accept = self.validate_work(ctx, txn, &work);
-                                    self.pa.on_prepare(txn, from, work, accept)
-                                }
-                                Err(hash) => {
-                                    // Unresolvable itinerary reference: not
-                                    // a refusal (voting no would abort the
-                                    // transaction) — ask the coordinator
-                                    // for the inline form and hold the vote.
-                                    ctx.send(
-                                        Address::new(from, MOLE),
-                                        MoleMsg::ItineraryMiss { txn, hash }.encode(),
-                                    );
-                                    Vec::new()
-                                }
-                            }
+                            let accept = self.validate_work(ctx, txn, &work);
+                            self.pa.on_prepare(txn, from, work, accept)
                         }
                     }
                     TxMsg::Vote { txn, ok } => self.co.on_vote(txn, from, ok),
@@ -1976,26 +1587,8 @@ impl Service for MoleService {
         // A crash rebuilds the service from its factory, so the resident
         // cache is naturally empty here; clear defensively anyway — the
         // crash contract is that recovery re-decodes queue items from
-        // stable bytes only. The same goes for the itinerary intern table
-        // and known-hash sets (the crash-cold invariant): nothing of the
-        // cache is persisted, and a recovered sender ships inline until it
-        // re-advertises. Receivers, however, may be named in peers' known
-        // sets (nobody is told about the restart), so re-derive intern
-        // entries from the locally durable queue items — the same
-        // intern-on-receipt rule `enqueue_local` applies, just run at
-        // recovery admission — which keeps pre-crash advertisements valid
-        // for exactly the records this node still holds.
+        // stable bytes only.
         self.resident.clear();
-        self.interned.clear();
-        self.intern_lru.clear();
-        self.known.clear();
-        if self.cfg.itinerary_interning {
-            for key in ctx.stable().keys_with_prefix(Q_PREFIX) {
-                if let Some(bytes) = ctx.stable_get(&key).map(<[u8]>::to_vec) {
-                    self.intern_record_bytes(ctx, &bytes);
-                }
-            }
-        }
         // Transaction id allocator: never reuse ids from before the crash.
         let floor: u64 = ctx
             .stable_get(KEY_TXNSEQ)
@@ -2051,16 +1644,15 @@ impl Service for MoleService {
     }
 }
 
-/// Whether a 2PC work item ships an agent record (directly or inside a
-/// batch) — the only work kind that can carry an itinerary.
-fn work_carries_record(work: &RemoteWork) -> bool {
-    match work.kind.as_str() {
-        "enqueue-fwd" | "enqueue-rbk" => true,
-        "batch" => mar_wire::from_slice::<Vec<RemoteWork>>(&work.payload)
-            .map(|ws| ws.iter().any(work_carries_record))
-            .unwrap_or(false),
-        _ => false,
-    }
+/// Re-reads the pristine record from the stable queue — the cold paths'
+/// (failure, rollback start, cost migration) source of truth.
+fn stable_record(ctx: &mut Ctx<'_>, key: &str) -> Option<AgentRecord> {
+    stable_resident(ctx, key)?.into_record().ok()
+}
+
+/// Like [`stable_record`] but stays in resident (lazy) form.
+fn stable_resident(ctx: &mut Ctx<'_>, key: &str) -> Option<ResidentRecord> {
+    ResidentRecord::from_bytes(ctx.stable_get(key)?).ok()
 }
 
 fn parse_txn_key(key: &str) -> TxnId {

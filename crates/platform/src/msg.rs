@@ -37,16 +37,6 @@ pub enum MoleMsg {
         /// The acknowledged agent.
         agent: AgentId,
     },
-    /// Receiver-side NACK for a `Prepare` whose agent record carried an
-    /// itinerary *reference* (see `docs/WIRE.md`) the receiver could not
-    /// resolve from its intern table. The coordinator answers by re-sending
-    /// that branch's `Prepare` with the itinerary inlined.
-    ItineraryMiss {
-        /// The transaction whose `Prepare` was refused.
-        txn: mar_txn::TxnId,
-        /// The unresolved itinerary content hash.
-        hash: u64,
-    },
 }
 
 impl MoleMsg {
@@ -242,10 +232,6 @@ mod tests {
             },
             MoleMsg::Report {
                 report: vec![9].into(),
-            },
-            MoleMsg::ItineraryMiss {
-                txn: mar_txn::TxnId::new(NodeId(2), 4),
-                hash: 0xdead_beef_cafe_f00d,
             },
         ];
         for m in msgs {

@@ -122,48 +122,6 @@ pub fn build_platform(
     b.build()
 }
 
-/// Like [`build_platform`], but parameterized over itinerary interning
-/// (flag + cache cap) instead of the resident cache, with kernel tracing
-/// enabled so suites can compare send/deliver timelines byte for byte.
-pub fn build_platform_itin(
-    nodes: u32,
-    seed: u64,
-    shards: usize,
-    interning: bool,
-    itin_cache: usize,
-    stable: &StableFactory,
-) -> Platform {
-    let mut b = PlatformBuilder::new(nodes as usize)
-        .seed(seed)
-        .shards(shards)
-        .trace(true)
-        .itinerary_interning(interning)
-        .itinerary_cache(itin_cache)
-        .stable_backend(stable.clone())
-        .behavior("scripted", Scripted);
-    for n in 1..nodes {
-        b = b.resources(NodeId(n), move || {
-            let mut rms = RmRegistry::new();
-            rms.register(Box::new(
-                BankRm::new("ledger", false)
-                    .with_account("sink", 0)
-                    .with_account("reserve", 100_000),
-            ));
-            rms
-        });
-    }
-    b.build()
-}
-
-/// Drops the `itinerary.*` counters — the one metric family allowed to
-/// differ between an interning-on run and its interning-off control.
-pub fn strip_itinerary_counters(counters: BTreeMap<String, u64>) -> BTreeMap<String, u64> {
-    counters
-        .into_iter()
-        .filter(|(k, _)| !k.starts_with("itinerary."))
-        .collect()
-}
-
 /// Schedules the generated crashes (nodes folded into `1..nodes`, so node 0
 /// — every agent's possible home — stays up for report delivery checks that
 /// need it).

@@ -18,11 +18,6 @@ pub(crate) enum Command {
         from: Address,
         to: Address,
         payload: Vec<u8>,
-        /// Logical size the message is billed at (latency, byte counters,
-        /// trace). Equals `payload.len()` except for reference-compressed
-        /// payloads, which are billed at their rehydrated size so that
-        /// volatile-cache state never shifts the simulated schedule.
-        billed: usize,
     },
     SetTimer {
         node: NodeId,
@@ -79,21 +74,6 @@ impl Ctx<'_> {
     /// Sends `payload` to `to`. Delivery is asynchronous; the message is
     /// dropped (with a metric) if the link or destination node is down.
     pub fn send(&mut self, to: Address, payload: Vec<u8>) {
-        let billed = payload.len();
-        self.send_billed(to, payload, billed);
-    }
-
-    /// Like [`Ctx::send`], but bills the message — network latency,
-    /// `net.bytes_sent`, and both trace records — at `billed` bytes instead
-    /// of `payload.len()`.
-    ///
-    /// This is the hook for content-addressed compression: a sender that
-    /// replaces a payload section with a cache reference passes the
-    /// *rehydrated* size here, so the simulated schedule, byte counters,
-    /// and traces stay identical whether or not the (volatile) cache was
-    /// warm. The real savings are reported through dedicated metrics by the
-    /// caller.
-    pub fn send_billed(&mut self, to: Address, payload: Vec<u8>, billed: usize) {
         let from = self.self_address();
         if self.trace.enabled() {
             self.trace.record(
@@ -101,17 +81,12 @@ impl Ctx<'_> {
                 TraceKind::MsgSent {
                     from: (from.node.0, from.service.to_owned()),
                     to: (to.node.0, to.service.to_owned()),
-                    bytes: billed,
+                    bytes: payload.len(),
                 },
             );
         }
-        self.metrics.add(keys::BYTES_SENT, billed as u64);
-        self.commands.push(Command::Send {
-            from,
-            to,
-            payload,
-            billed,
-        });
+        self.metrics.add(keys::BYTES_SENT, payload.len() as u64);
+        self.commands.push(Command::Send { from, to, payload });
     }
 
     /// Sends a message to another service on the same node.

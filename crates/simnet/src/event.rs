@@ -33,10 +33,6 @@ pub(crate) enum Event {
         from: Address,
         to: Address,
         payload: Vec<u8>,
-        /// Logical size for the delivery trace (see
-        /// [`crate::Ctx::send_billed`]); equals `payload.len()` for
-        /// ordinary sends.
-        billed: usize,
     },
     /// Fire a timer on a service (valid only for the node epoch it was set in).
     Timer {

@@ -42,9 +42,6 @@ pub struct RemoteEvent {
     pub to_service: String,
     /// Message payload bytes.
     pub payload: Vec<u8>,
-    /// Billed (logical) size used for latency and byte accounting; equals
-    /// `payload.len()` unless the sender used reference compression.
-    pub billed: u64,
 }
 
 impl RemoteEvent {
@@ -110,7 +107,6 @@ mod tests {
             to_node: 5,
             to_service: "mole".to_owned(),
             payload: vec![1, 2, 3],
-            billed: 3,
         };
         assert_eq!(ev.to_address(), Address::new(NodeId(5), "mole"));
         assert_eq!(ev.from_address().node, NodeId(3));

@@ -177,12 +177,7 @@ impl Shard {
             self.metrics.inc(keys::EVENTS);
         }
         match ev {
-            Event::Deliver {
-                from,
-                to,
-                payload,
-                billed,
-            } => self.handle_deliver(now, from, to, payload, billed),
+            Event::Deliver { from, to, payload } => self.handle_deliver(now, from, to, payload),
             Event::Timer {
                 node,
                 service,
@@ -267,12 +262,7 @@ impl Shard {
     fn apply(&mut self, now: SimTime, commands: Vec<Command>) {
         for cmd in commands {
             match cmd {
-                Command::Send {
-                    from,
-                    to,
-                    payload,
-                    billed,
-                } => self.route(now, from, to, payload, billed),
+                Command::Send { from, to, payload } => self.route(now, from, to, payload),
                 Command::SetTimer {
                     node,
                     service,
@@ -304,15 +294,12 @@ impl Shard {
     /// Routes a message sent by a node hosted on this shard. Latency (and
     /// thus the event key) comes from the sender's own stream, so it does
     /// not depend on the shard layout.
-    fn route(&mut self, now: SimTime, from: Address, to: Address, payload: Vec<u8>, billed: usize) {
+    fn route(&mut self, now: SimTime, from: Address, to: Address, payload: Vec<u8>) {
         let sidx = self.local_slot(from.node).expect("send from foreign node");
-        // Latency is charged on the *billed* size: a reference-compressed
-        // payload travels on the schedule of its rehydrated form, so
-        // volatile cache state can never shift the simulation.
         let latency = {
             let slot = &mut self.slots[sidx];
             self.net
-                .delivery_latency(from.node, to.node, billed, &mut slot.rng)
+                .delivery_latency(from.node, to.node, payload.len(), &mut slot.rng)
         };
         match latency {
             Some(latency) => {
@@ -328,17 +315,11 @@ impl Shard {
                     .copied()
                     .unwrap_or(false)
                 {
-                    self.egress
-                        .push(remote_event(key, from, to, payload, billed));
+                    self.egress.push(remote_event(key, from, to, payload));
                     return;
                 }
                 let dest = self.shard_of_or_self(to.node);
-                let ev = Event::Deliver {
-                    from,
-                    to,
-                    payload,
-                    billed,
-                };
+                let ev = Event::Deliver { from, to, payload };
                 if dest == self.id {
                     self.queue.push(key, ev);
                 } else {
@@ -358,14 +339,7 @@ impl Shard {
         }
     }
 
-    fn handle_deliver(
-        &mut self,
-        now: SimTime,
-        from: Address,
-        to: Address,
-        payload: Vec<u8>,
-        billed: usize,
-    ) {
+    fn handle_deliver(&mut self, now: SimTime, from: Address, to: Address, payload: Vec<u8>) {
         let Some(idx) = self.local_slot(to.node) else {
             // Destination outside the world (e.g. EXTERNAL): dropped silently.
             return;
@@ -382,7 +356,7 @@ impl Shard {
                 TraceKind::MsgDelivered {
                     from: (from.node.0, from.service.to_owned()),
                     to: (to.node.0, to.service.to_owned()),
-                    bytes: billed,
+                    bytes: payload.len(),
                 },
             );
         }
@@ -471,13 +445,7 @@ impl Shard {
 }
 
 /// Packs a keyed delivery into its wire-facing form for the egress buffer.
-fn remote_event(
-    key: EventKey,
-    from: Address,
-    to: Address,
-    payload: Vec<u8>,
-    billed: usize,
-) -> RemoteEvent {
+fn remote_event(key: EventKey, from: Address, to: Address, payload: Vec<u8>) -> RemoteEvent {
     RemoteEvent {
         at_us: key.0.as_micros(),
         origin: key.1,
@@ -487,7 +455,6 @@ fn remote_event(
         to_node: to.node.0,
         to_service: to.service.to_owned(),
         payload,
-        billed: billed as u64,
     }
 }
 
@@ -784,7 +751,6 @@ impl World {
             Some(latency) => {
                 let at = self.time + latency;
                 let key = self.next_driver_key(at);
-                let billed = payload.len();
                 // Latency draw, byte accounting, and the driver key are
                 // identical whether the destination is local or remote, so
                 // a process split never shifts the schedule.
@@ -795,7 +761,7 @@ impl World {
                     .unwrap_or(false)
                 {
                     self.egress
-                        .push(remote_event(key, Address::external(), to, payload, billed));
+                        .push(remote_event(key, Address::external(), to, payload));
                     return;
                 }
                 let dest = if (to.node.0 as usize) < self.n_nodes {
@@ -809,7 +775,6 @@ impl World {
                         from: Address::external(),
                         to,
                         payload,
-                        billed,
                     },
                 );
             }
@@ -1032,7 +997,6 @@ impl World {
         let key: EventKey = (ev.at(), ev.origin, ev.seq);
         debug_assert!(key.0 >= self.time, "remote event injected into the past");
         let from = ev.from_address();
-        let billed = ev.billed as usize;
         let dest = i % self.shards.len();
         self.shards[dest].queue.push(
             key,
@@ -1040,7 +1004,6 @@ impl World {
                 from,
                 to,
                 payload: ev.payload,
-                billed,
             },
         );
     }
@@ -1824,7 +1787,6 @@ mod tests {
             to_node: 1,
             to_service: "ping".to_owned(),
             payload: vec![],
-            billed: 0,
         };
         w.inject_remote(ev);
     }

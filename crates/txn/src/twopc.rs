@@ -221,38 +221,6 @@ impl Coordinator {
         actions
     }
 
-    /// Replaces the work shipped to one branch and re-sends its `Prepare`.
-    ///
-    /// Used when a participant cannot interpret the original payload (e.g.
-    /// it carried a cache reference the receiver could not resolve) and the
-    /// coordinator must retransmit a self-contained version. Only valid
-    /// while the transaction is still preparing and the branch has not
-    /// voted; otherwise it is a stale report and nothing happens. The
-    /// stored work is updated so later retries also carry the replacement.
-    pub fn replace_work(&mut self, txn: TxnId, to: NodeId, work: RemoteWork) -> Vec<Action> {
-        let Some(co) = self.txns.get_mut(&txn) else {
-            return Vec::new();
-        };
-        if co.state != CoState::Preparing || co.votes.contains(&to) {
-            return Vec::new();
-        }
-        let Some(slot) = co.work.iter_mut().find(|(n, _)| *n == to) else {
-            return Vec::new();
-        };
-        slot.1 = work.clone();
-        vec![Action::SendPrepare { to, txn, work }]
-    }
-
-    /// The work currently stored for one branch of an in-flight transaction.
-    pub fn branch_work(&self, txn: TxnId, to: NodeId) -> Option<&RemoteWork> {
-        self.txns
-            .get(&txn)?
-            .work
-            .iter()
-            .find(|(n, _)| *n == to)
-            .map(|(_, w)| w)
-    }
-
     /// Handles a vote from a participant.
     pub fn on_vote(&mut self, txn: TxnId, from: NodeId, ok: bool) -> Vec<Action> {
         let Some(co) = self.txns.get_mut(&txn) else {
@@ -610,41 +578,6 @@ mod tests {
         ));
         assert_eq!(co.in_flight(), 0);
         assert_eq!(pa.in_doubt(), 0);
-    }
-
-    #[test]
-    fn replace_work_resends_and_sticks_for_retries() {
-        let mut co = Coordinator::new();
-        let p1 = NodeId(2);
-        let p2 = NodeId(3);
-        co.commit_request(txn(1), vec![(p1, work()), (p2, work())]);
-
-        let fat = RemoteWork::new("enqueue", vec![9, 9, 9]);
-        let a = co.replace_work(txn(1), p1, fat.clone());
-        assert_eq!(
-            a,
-            vec![Action::SendPrepare {
-                to: p1,
-                txn: txn(1),
-                work: fat.clone(),
-            }]
-        );
-        assert_eq!(co.branch_work(txn(1), p1), Some(&fat));
-        assert_eq!(co.branch_work(txn(1), p2), Some(&work()));
-
-        // Retries keep shipping the replacement, not the original payload.
-        let retries = co.on_retry();
-        assert!(retries.iter().any(
-            |a| matches!(a, Action::SendPrepare { to, work: w, .. } if *to == p1 && *w == fat)
-        ));
-
-        // A branch that already voted can no longer be replaced.
-        co.on_vote(txn(1), p2, true);
-        assert_eq!(co.replace_work(txn(1), p2, fat.clone()), Vec::new());
-
-        // Stale reports for settled transactions are ignored.
-        co.on_vote(txn(1), p1, true);
-        assert_eq!(co.replace_work(txn(1), p1, fat), Vec::new());
     }
 
     #[test]

@@ -34,7 +34,6 @@ mod bytes;
 mod de;
 mod error;
 pub mod frame;
-mod hash;
 mod ser;
 mod value;
 pub mod varint;
@@ -42,7 +41,6 @@ pub mod varint;
 pub use bytes::Bytes;
 pub use de::{from_slice, from_slice_prefix, read_seq_header, skip_value, BinDeserializer};
 pub use error::{WireError, WireResult};
-pub use hash::content_hash64;
 pub use ser::{encoded_size, to_bytes, BinSerializer};
 pub use value::Value;
 
