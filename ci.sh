@@ -26,6 +26,9 @@ echo "==> shard equivalence: platform + kernel suites at shards {1,2,4}"
 cargo test -p mar-platform --test shard_equivalence_props -q
 cargo test -p mar-simnet shard -q
 
+echo "==> benchmark self-tests: every workload in short mode, determinism, traced = untraced"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> stable backends: conformance + crash-injection suites, all backends"
 cargo test -p mar-simnet --test backend_conformance -q
 cargo test -p mar-simnet --test backend_crash_props -q

@@ -168,10 +168,10 @@ fn fleet_experiment(b: &mut Bench, agents: usize) {
 /// over 32 nodes, run at 1, 2, and 4 worker shards. The asserts pin the
 /// shard-count invariance of everything simulated (settle time, committed
 /// steps, driver counters); the recorded numbers are *critical-path*
-/// settle costs from the profiled engine — Σ over conservative windows of
-/// the slowest shard's busy time in that window — which measure how well
-/// the parallel schedule balances independent of host core count (the
-/// production threaded engine runs the identical windows).
+/// settle costs measured with shard profiling on — Σ over conservative
+/// windows of the slowest shard's busy time in that window — which measure
+/// how well the parallel schedule balances independent of host core count
+/// (unprofiled runs execute the identical windows on worker threads).
 fn sharded_fleet_experiment(b: &mut Bench) {
     let fleet = |shards| FleetScenario {
         agents: 1000,

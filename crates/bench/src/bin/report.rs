@@ -1,5 +1,5 @@
-//! Regenerates every experiment table of EXPERIMENTS.md (deterministic —
-//! all numbers are virtual-time/metric quantities, not wall time).
+//! Prints the paper experiment tables E1–E10 (deterministic — all numbers
+//! are virtual-time/metric quantities, not wall time).
 //!
 //! Run with: `cargo run -p mar-bench --bin report --release`
 

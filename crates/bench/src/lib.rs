@@ -411,7 +411,7 @@ pub struct FleetScenario {
     /// E9 experiment toggle; platform default is on).
     pub resident_cache: bool,
     /// Worker-thread shards the simulated nodes are partitioned across
-    /// (1 = the sequential engine).
+    /// (1 = every event on the calling thread).
     pub shards: usize,
     /// Spread agent homes round-robin over every node instead of sharing
     /// node 0. With one shared home, every launch, report delivery, and
@@ -448,9 +448,9 @@ impl FleetScenario {
             });
         }
         let mut p = b.build();
-        // Critical-path profiling: same windows and schedule as the
-        // threaded engine, but shards are timed one at a time, so the
-        // profile is meaningful even on a single-core host.
+        // Critical-path profiling: same windows and schedule as an
+        // unprofiled run, but the calling thread times shards one at a
+        // time, so the profile is meaningful even on a single-core host.
         p.world_mut().set_shard_profiling(true);
         let nodes = self.nodes;
         let steps = self.steps;
@@ -517,7 +517,7 @@ pub struct FleetStats {
     /// Step transactions committed across the fleet.
     pub steps_committed: u64,
     /// Critical-path wall time of the run: Σ over conservative windows of
-    /// the slowest shard's busy time in that window (profiled engine).
+    /// the slowest shard's busy time in that window (shard profiling on).
     pub critical_path_ns: u64,
     /// Raw metrics for anything else.
     pub metrics: MetricsSnapshot,

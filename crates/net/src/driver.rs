@@ -56,7 +56,7 @@ use std::time::{Duration, Instant};
 
 use mar_core::AgentId;
 use mar_platform::{audit_wallets, AgentHandle, AgentReport, AgentSpec, DriverCore, DriverStable};
-use mar_simnet::{MetricsSnapshot, NodeId, RemoteEvent, SimDuration, World};
+use mar_simnet::{window_end, MetricsSnapshot, NodeId, RemoteEvent, SimDuration, World};
 
 use crate::proto::{
     ownership, recv_ctl, send_ctl, NetMsg, Peer, RpcOp, RpcReply, PROTOCOL_VERSION,
@@ -767,12 +767,8 @@ impl NetState {
             };
             // The conservative window: nothing created inside it can land
             // before `end`, because every delivery costs at least the
-            // latency model's minimum. Same formula as the in-process
-            // sharded engine.
-            let end = m
-                .saturating_add(self.lookahead_us)
-                .min(target_us.saturating_add(1))
-                .max(m + 1);
+            // latency model's minimum.
+            let end = window_end(m, self.lookahead_us, target_us);
             self.horizon_us = end - 1;
             let mut running = Vec::with_capacity(self.slots.len());
             for h in 0..self.slots.len() {

@@ -36,7 +36,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mar_simnet::{NodeId, SimRng, StableFactory, WalConfig, World};
+use mar_simnet::{InjectError, NodeId, SimRng, StableFactory, WalConfig, World};
 
 use crate::proto::{recv_ctl, send_ctl, NetMsg, Peer, RpcOp, RpcReply, PROTOCOL_VERSION};
 use crate::scenarios;
@@ -168,7 +168,8 @@ impl HostRuntime {
     /// # Errors
     ///
     /// Fatal protocol violations (version mismatch, unknown scenario,
-    /// build failures) — not worth redialing. Connection-level failures
+    /// build failures, an injected event the world refuses) — not worth
+    /// redialing. Connection-level failures
     /// (closes, watchdog expiry, torn frames) come back as
     /// `Ok(HostExit::Disconnected)`: redial and resume.
     pub fn run_conn(&mut self, mut transport: Box<dyn Transport>) -> io::Result<HostExit> {
@@ -271,6 +272,13 @@ impl HostRuntime {
         let world = self.world.as_mut().expect("world exists after handshake");
         match serve_ctl(&mut self.peer, world, &self.ctl) {
             Ok(exit) => Ok(exit),
+            // A driver that injects an event for a node we do not own, or
+            // one due in our past, has a different schedule from ours:
+            // replaying the session cannot heal that.
+            Err(e) if e.get_ref().is_some_and(|inner| inner.is::<InjectError>()) => {
+                drop(self.peer.detach());
+                Err(e)
+            }
             // Any serve-loop error — watchdog expiry, a torn or malformed
             // frame, a sequence gap from a lossy link — poisons only the
             // *connection*. The session's replay buffer makes a reconnect
@@ -348,8 +356,10 @@ pub fn serve<T: Transport>(peer: &mut Peer<T>, world: &mut World) -> io::Result<
 /// # Errors
 ///
 /// Transport and protocol errors, including the watchdog's idle timeout
-/// once `ctl.io_timeout` of driver silence has accumulated. The session
-/// in `peer` remains resumable after any error.
+/// once `ctl.io_timeout` of driver silence has accumulated, and an
+/// `InvalidData` error wrapping [`InjectError`] when the world refuses an
+/// injected event. The session in `peer` remains resumable after any
+/// error.
 pub fn serve_ctl<T: Transport>(
     peer: &mut Peer<T>,
     world: &mut World,
@@ -383,7 +393,9 @@ pub fn serve_ctl<T: Transport>(
         match msg {
             Some(NetMsg::Inject { events }) => {
                 for ev in events {
-                    world.inject_remote(ev);
+                    world
+                        .inject_remote(ev)
+                        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
                 }
             }
             Some(NetMsg::RunWindow { end_us }) => {

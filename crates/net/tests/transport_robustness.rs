@@ -16,7 +16,7 @@ use mar_net::transport::{
     ChannelAcceptor, Endpoint, Listener, Loopback, SocketTransport, Transport,
 };
 use mar_net::{NetCfg, NetPlatform};
-use mar_simnet::{NodeId, World};
+use mar_simnet::{InjectError, NodeId, RemoteEvent, World};
 
 /// A full travel world owned by one "host", started and ready to serve.
 fn owned_world() -> World {
@@ -291,4 +291,82 @@ fn host_refuses_a_topology_from_another_protocol() {
     );
     // The host hung up instead of building a world or answering Ready.
     assert!(recv_ctl(&mut driver).unwrap().is_none());
+}
+
+/// Handshakes a fresh `HostRuntime` owning the whole travel world at
+/// `resume_us`, sends one `Inject` frame carrying `ev`, and returns the
+/// runtime's verdict plus the driver end (to observe the hang-up).
+fn inject_into_fresh_host(resume_us: u64, ev: RemoteEvent) -> (io::Error, Peer<Loopback>) {
+    let (mut driver, host_end) = Loopback::pair();
+    let join = std::thread::spawn(move || {
+        let mut rt = HostRuntime::new(0, None, ServeCtl::default());
+        rt.run_conn(Box::new(host_end))
+    });
+    assert!(matches!(
+        recv_ctl(&mut driver).unwrap(),
+        Some(NetMsg::Hello { .. })
+    ));
+    send_ctl(
+        &mut driver,
+        &NetMsg::Topology {
+            version: PROTOCOL_VERSION,
+            scenario: TRAVEL.to_owned(),
+            seed: 5,
+            n_nodes: TRAVEL_NODES,
+            owned: (0..TRAVEL_NODES).collect(),
+            resume_us,
+            resume_ok: false,
+        },
+    )
+    .unwrap();
+    let mut driver = Peer::new(driver);
+    assert!(matches!(driver.recv().unwrap(), Some(NetMsg::Ready { .. })));
+    driver.send(&NetMsg::Inject { events: vec![ev] }).unwrap();
+    let err = join
+        .join()
+        .expect("a malformed Inject must not panic the host")
+        .unwrap_err();
+    (err, driver)
+}
+
+fn travel_event(at_us: u64, to_node: u32) -> RemoteEvent {
+    RemoteEvent {
+        at_us,
+        origin: 0,
+        seq: 0,
+        from_node: 0,
+        from_service: "mole".to_owned(),
+        to_node,
+        to_service: "mole".to_owned(),
+        payload: vec![1, 2, 3],
+    }
+}
+
+#[test]
+fn host_refuses_injected_events_it_cannot_run() {
+    let cases = [
+        // A destination the world does not have.
+        (
+            0,
+            travel_event(10_000, 99),
+            InjectError::NotLocal { node: 99 },
+        ),
+        // A delivery due before the host's clock.
+        (
+            20_000,
+            travel_event(5_000, 1),
+            InjectError::InPast {
+                at_us: 5_000,
+                now_us: 20_000,
+            },
+        ),
+    ];
+    for (resume_us, ev, want) in cases {
+        let (err, mut driver) = inject_into_fresh_host(resume_us, ev);
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        let inner = err.get_ref().and_then(|e| e.downcast_ref::<InjectError>());
+        assert_eq!(inner, Some(&want), "{err}");
+        // The host hung up rather than serving a schedule it disagrees with.
+        assert!(driver.recv().unwrap().is_none());
+    }
 }

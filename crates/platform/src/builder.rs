@@ -122,7 +122,7 @@ impl PlatformBuilder {
 
     /// Partitions the simulated nodes across `n` worker-thread shards.
     /// Results are byte-identical at any shard count; `1` (the default)
-    /// keeps the sequential dispatch loop.
+    /// runs every event on the calling thread.
     pub fn shards(mut self, n: usize) -> Self {
         self.shards = n;
         self
@@ -283,10 +283,10 @@ impl PlatformBuilder {
     ///
     /// The returned world is **not started** — the hosting process starts
     /// it when its coordinator says so (after a crash-recovery restart the
-    /// clock must be advanced to the resume time first). The shard count is
-    /// forced to 1: distributed windows run on the sequential engine
-    /// ([`World::run_window`]), the process split *is* the sharding. A
-    /// driver process that owns no nodes passes an empty `owned` slice.
+    /// clock must be advanced to the resume time first). The shard setting
+    /// is honoured: each lockstep window ([`World::run_window`]) runs the
+    /// kernel's own windows across this process's shards. A driver process
+    /// that owns no nodes passes an empty `owned` slice.
     ///
     /// # Errors
     ///
@@ -296,7 +296,7 @@ impl PlatformBuilder {
     }
 
     /// Shared world construction: `owned` of `None` means "this process
-    /// owns every node" (single-process build, honours the shard setting).
+    /// owns every node" (single-process build).
     fn try_build_world(self, owned: Option<&[NodeId]>) -> Result<World, BuildError> {
         if let Some(err) = self.errors.into_iter().next() {
             return Err(err);
@@ -307,7 +307,7 @@ impl PlatformBuilder {
         let mut cfg = WorldConfig::with_seed(self.seed);
         cfg.latency = self.latency;
         cfg.trace = self.trace;
-        cfg.shards = if owned.is_some() { 1 } else { self.shards };
+        cfg.shards = self.shards;
         cfg.stable = self.stable;
         let owned_set: Option<BTreeSet<u32>> = owned.map(|o| o.iter().map(|n| n.0).collect());
         let mut world = World::new(cfg);

@@ -167,7 +167,7 @@ impl Platform {
             self.drain_reports();
             return self.core.cached(agent);
         }
-        self.world.metrics_mut().inc(keys::DRIVER_DEEP_SCANS);
+        self.world.metrics().inc(keys::DRIVER_DEEP_SCANS);
         let key = format!("{REPORT_PREFIX}{}", agent.0);
         for node in self.world.node_ids() {
             if let Some(bytes) = self.world.stable(node).get(&key) {

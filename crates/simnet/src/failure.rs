@@ -142,7 +142,7 @@ mod tests {
         };
         let (crashes, _) = plan.install(&mut w);
         assert!(crashes > 0, "expected some crashes in 60s at mtbf 5s");
-        w.run_to_quiescence(1_000_000);
+        w.run_for(SimDuration::from_secs(120));
         for n in w.node_ids() {
             assert!(
                 w.is_up(n),
@@ -167,7 +167,7 @@ mod tests {
         };
         let (_, outages) = plan.install(&mut w);
         assert!(outages > 0);
-        w.run_to_quiescence(1_000_000);
+        w.run_for(SimDuration::from_secs(120));
         assert_eq!(w.net().down_link_count(), 0, "all links should heal");
     }
 
@@ -191,7 +191,7 @@ mod tests {
             ..FailurePlan::none()
         };
         plan.install(&mut w);
-        w.run_to_quiescence(1_000_000);
+        w.run_for(SimDuration::from_secs(120));
         // Only node 0 was eligible; it must be back up, and crash count > 0.
         assert!(w.is_up(NodeId(0)));
         assert!(w.metrics().counter(keys::NODE_CRASHES) > 0);

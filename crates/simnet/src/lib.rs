@@ -65,10 +65,10 @@ pub use failure::FailurePlan;
 pub use metrics::{keys as metric_keys, HistSummary, Metrics, MetricsSnapshot};
 pub use net::{LatencyModel, Network, MSG_OVERHEAD_BYTES};
 pub use node::{Address, NodeId, Service, ServiceFactory};
-pub use remote::{intern_service_name, RemoteEvent};
+pub use remote::{intern_service_name, InjectError, RemoteEvent};
 pub use rng::SimRng;
 pub use stable::{BackendStats, MemBackend, StableBackend, StableFactory, StableStore};
 pub use stable::{WalBackend, WalConfig};
 pub use time::{SimDuration, SimTime};
 pub use trace::{Trace, TraceKind, TraceRecord};
-pub use world::{ShardProfile, World, WorldConfig};
+pub use world::{window_end, ShardProfile, World, WorldConfig};

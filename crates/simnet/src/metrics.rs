@@ -1,7 +1,8 @@
 //! Counters and histograms collected during a simulation run.
 //!
-//! Every experiment in EXPERIMENTS.md is computed from a [`MetricsSnapshot`],
-//! so metric updates must be deterministic. Under the sharded runtime each
+//! Every experiment table (the `report` binary and the `macro_sim` bench
+//! in `mar-bench`) is computed from a [`MetricsSnapshot`], so metric
+//! updates must be deterministic. Under the sharded runtime each
 //! shard records into its own registry and the kernel folds them in shard
 //! order at run boundaries, so totals are independent of thread timing.
 //!

@@ -64,6 +64,43 @@ impl RemoteEvent {
     }
 }
 
+/// Why [`crate::World::inject_remote`] refused an event. Both cases mean
+/// the sender is broken or malicious; the event is not queued.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum InjectError {
+    /// The destination node is unknown here or owned by another process.
+    NotLocal {
+        /// The destination node id the event named.
+        node: u32,
+    },
+    /// The event is due before the receiving world's clock, so running it
+    /// would rewrite the past.
+    InPast {
+        /// The event's due time, in microseconds.
+        at_us: u64,
+        /// The receiving world's clock, in microseconds.
+        now_us: u64,
+    },
+}
+
+impl std::fmt::Display for InjectError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            InjectError::NotLocal { node } => {
+                write!(f, "injected event for node {node}, which is not local")
+            }
+            InjectError::InPast { at_us, now_us } => {
+                write!(
+                    f,
+                    "injected event due at {at_us}us, before the clock at {now_us}us"
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for InjectError {}
+
 /// Interns a service name, returning a `&'static str` equal to `name`.
 ///
 /// [`Address`] stores service names as `&'static str` (registration uses

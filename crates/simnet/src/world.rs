@@ -20,13 +20,16 @@
 //! 2. Randomness is drawn from per-node streams derived from `(seed, node)`
 //!    only; message latency is drawn from the *sender's* stream.
 //!
-//! Multi-shard runs use conservative time windows: with lookahead `L =`
-//! [`crate::LatencyModel::min_latency`], every cross-shard message created at
-//! time `t` is due no earlier than `t + L`, so all shards can process the
-//! window `[m, m + L)` (where `m` is the global minimum pending time) in
-//! parallel without ever receiving an event "in the past". Cross-shard
-//! events travel through per-shard inboxes and are merged into the
-//! destination queue, where the origin-based key restores the global order.
+//! Every run goes through one dispatch loop of conservative time windows:
+//! with lookahead `L =` [`crate::LatencyModel::min_latency`], every
+//! cross-shard message created at time `t` is due no earlier than `t + L`,
+//! so all shards can process the window `[m, m + L)` (where `m` is the
+//! global minimum pending time, see [`window_end`]) in parallel without
+//! ever receiving an event "in the past". Cross-shard events travel through
+//! per-shard inboxes and are merged into the destination queue, where the
+//! origin-based key restores the global order. A one-shard world has no
+//! cross-shard traffic, so its lookahead is unbounded and one window spans
+//! the whole run.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -38,7 +41,7 @@ use crate::event::{Event, EventKey, EventQueue, TimerId, DRIVER_ORIGIN};
 use crate::metrics::{keys, Metrics, MetricsSnapshot};
 use crate::net::{LatencyModel, Network};
 use crate::node::{Address, NodeId, NodeSlot, Service};
-use crate::remote::RemoteEvent;
+use crate::remote::{InjectError, RemoteEvent};
 use crate::rng::SimRng;
 use crate::stable::{StableFactory, StableStore};
 use crate::time::{SimDuration, SimTime};
@@ -58,10 +61,10 @@ pub struct WorldConfig {
     /// Maximum number of trace records kept.
     pub trace_cap: usize,
     /// Number of shards the nodes are partitioned into. `1` (the default)
-    /// runs the classic sequential dispatch loop; results are identical at
+    /// runs every event on the calling thread; results are identical at
     /// any value. `0` means **auto**: one shard per available hardware
-    /// thread ([`std::thread::available_parallelism`]), falling back to the
-    /// sequential engine when the latency model has no usable lookahead.
+    /// thread ([`std::thread::available_parallelism`]), falling back to one
+    /// shard when the latency model has no usable lookahead.
     pub shards: usize,
     /// Stable-storage backend constructor used for every node. The default
     /// is the reference in-memory backend; results are identical with any
@@ -152,6 +155,10 @@ impl Shard {
             .local_slot(node)
             .expect("node not hosted on this shard");
         &mut self.slots[idx]
+    }
+
+    fn is_remote(&self, node: NodeId) -> bool {
+        self.remote.get(node.0 as usize).copied().unwrap_or(false)
     }
 
     /// Shard that will process events addressed to `node`; events for
@@ -309,12 +316,7 @@ impl Shard {
                 // A remote destination gets the event — key and all — in
                 // the egress buffer; the owning process re-inserts it, so
                 // the global order is unchanged by the process split.
-                if self
-                    .remote
-                    .get(to.node.0 as usize)
-                    .copied()
-                    .unwrap_or(false)
-                {
+                if self.is_remote(to.node) {
                     self.egress.push(remote_event(key, from, to, payload));
                     return;
                 }
@@ -416,20 +418,20 @@ impl Shard {
     }
 
     fn recover_now_internal(&mut self, now: SimTime, node: NodeId) {
-        {
-            let slot = self.owned_slot(node);
-            if slot.up {
-                return;
-            }
-            slot.rebuild();
+        let slot = self.owned_slot(node);
+        if slot.up {
+            return;
         }
+        slot.rebuild();
         self.metrics.inc(keys::NODE_RECOVERIES);
         self.trace
             .record(now, TraceKind::NodeRecovered { node: node.0 });
-        let idx = self
-            .local_slot(node)
-            .expect("node not hosted on this shard");
-        let names: Vec<&'static str> = self.slots[idx].services.keys().copied().collect();
+        self.start_services(now, node);
+    }
+
+    /// Runs `on_start` on every service of `node`, in name order.
+    fn start_services(&mut self, now: SimTime, node: NodeId) {
+        let names: Vec<&'static str> = self.owned_slot(node).services.keys().copied().collect();
         for name in names {
             self.with_service(now, node, name, |svc, ctx| svc.on_start(ctx));
         }
@@ -458,6 +460,97 @@ fn remote_event(key: EventKey, from: Address, to: Address, payload: Vec<u8>) -> 
     }
 }
 
+/// End (exclusive) of the conservative window that starts at the global
+/// minimum pending time `min_us`: `min_us + lookahead_us`, capped just past
+/// `until_us` and never empty. Nothing created inside the window can land
+/// before its end, because every cross-shard (or cross-process) delivery
+/// costs at least `lookahead_us`. The in-process kernel and a distributed
+/// coordinator both cut windows with this formula.
+pub fn window_end(min_us: u64, lookahead_us: u64, until_us: u64) -> u64 {
+    min_us
+        .saturating_add(lookahead_us)
+        .min(until_us.saturating_add(1))
+        .max(min_us.saturating_add(1))
+}
+
+/// Window value that tells the workers of [`World::run_windows`] to stop
+/// (a real window end is always at least 1).
+const DONE: u64 = 0;
+
+/// State shared by the workers of one [`World::run_windows`] call.
+struct WindowSync {
+    barrier: Barrier,
+    until_us: u64,
+    lookahead_us: u64,
+    /// End of the current window, fixed by the barrier leader, or [`DONE`].
+    window: AtomicU64,
+    /// Minimum pending time over every shard, published before each window.
+    next_min: AtomicU64,
+    windows: AtomicU64,
+    /// Cross-shard events awaiting their destination shard's next drain.
+    inboxes: Vec<Mutex<Vec<(EventKey, Event)>>>,
+}
+
+impl WindowSync {
+    /// One worker's side of the loop over its group of shards, three
+    /// barrier waits per window: publish local minima → the leader fixes
+    /// the window → process it and deposit cross-shard events → make the
+    /// deposits visible. With `profile`, each shard's share of each window
+    /// is timed.
+    fn work(&self, group: &mut [Shard], mut profile: Option<&mut ShardProfile>) {
+        loop {
+            let mut local = u64::MAX;
+            for shard in group.iter_mut() {
+                let items = std::mem::take(&mut *self.inboxes[shard.id].lock().expect("inbox"));
+                for (key, ev) in items {
+                    shard.queue.push(key, ev);
+                }
+                if let Some(t) = shard.queue.peek_time() {
+                    local = local.min(t.as_micros());
+                }
+            }
+            self.next_min.fetch_min(local, Ordering::AcqRel);
+            if self.barrier.wait().is_leader() {
+                let m = self.next_min.swap(u64::MAX, Ordering::AcqRel);
+                let end = if m == u64::MAX || m > self.until_us {
+                    DONE
+                } else {
+                    self.windows.fetch_add(1, Ordering::Relaxed);
+                    window_end(m, self.lookahead_us, self.until_us)
+                };
+                self.window.store(end, Ordering::Release);
+            }
+            self.barrier.wait();
+            let end = self.window.load(Ordering::Acquire);
+            if end == DONE {
+                return;
+            }
+            let mut window_max = 0;
+            for shard in group.iter_mut() {
+                let t0 = profile.is_some().then(Instant::now);
+                shard.process_until(end);
+                if let (Some(p), Some(t0)) = (profile.as_deref_mut(), t0) {
+                    let busy = t0.elapsed().as_nanos() as u64;
+                    p.busy_ns[shard.id] += busy;
+                    window_max = window_max.max(busy);
+                }
+                for (dest, key, ev) in shard.outbox.drain(..) {
+                    debug_assert!(
+                        key.0.as_micros() >= end,
+                        "cross-shard event due inside the current window"
+                    );
+                    self.inboxes[dest].lock().expect("inbox").push((key, ev));
+                }
+            }
+            if let Some(p) = profile.as_deref_mut() {
+                p.windows += 1;
+                p.critical_ns += window_max;
+            }
+            self.barrier.wait();
+        }
+    }
+}
+
 /// The deterministic discrete-event world.
 pub struct World {
     time: SimTime,
@@ -475,9 +568,6 @@ pub struct World {
     lookahead: SimDuration,
     profiling: bool,
     profile: ShardProfile,
-    /// Per-node remote flags (see [`World::mark_remote`]); shards hold
-    /// replicas.
-    remote: Vec<bool>,
     /// Driver-injected deliveries destined to remote nodes.
     egress: Vec<RemoteEvent>,
 }
@@ -486,8 +576,8 @@ impl World {
     /// Creates an empty world.
     ///
     /// `cfg.shards == 0` selects the shard count automatically: one shard
-    /// per available hardware thread, or the sequential engine when the
-    /// latency model's lookahead is unusable. Results are byte-identical at
+    /// per available hardware thread, or a single shard when the latency
+    /// model's lookahead is unusable. Results are byte-identical at
     /// any shard count, so auto mode never changes a simulation.
     ///
     /// # Panics
@@ -551,7 +641,6 @@ impl World {
                 busy_ns: vec![0; n_shards],
                 critical_ns: 0,
             },
-            remote: Vec::new(),
             egress: Vec::new(),
         }
     }
@@ -570,7 +659,6 @@ impl World {
         let stable = self.stable_factory.make_store(id);
         self.shards[s].slots.push(NodeSlot::new(id, rng, stable));
         self.n_nodes += 1;
-        self.remote.push(false);
         for sh in &mut self.shards {
             sh.n_nodes = self.n_nodes;
             sh.remote.push(false);
@@ -601,21 +689,9 @@ impl World {
     /// name order). Call once after wiring the topology.
     pub fn start(&mut self) {
         self.sync_replicas_if_dirty();
-        let n = self.shards.len();
-        for id in 0..self.n_nodes {
-            let node = NodeId(id as u32);
-            let s = id % n;
-            let names: Vec<&'static str> = self.shards[s].slots[id / n]
-                .services
-                .keys()
-                .copied()
-                .collect();
-            let now = self.time;
-            self.driver_call_on_shard(s, |sh| {
-                for name in names {
-                    sh.with_service(now, node, name, |svc, ctx| svc.on_start(ctx));
-                }
-            });
+        for node in self.node_ids() {
+            let (s, now) = (self.shard_of(node), self.time);
+            self.driver_call_on_shard(s, |sh| sh.start_services(now, node));
         }
         self.sync();
     }
@@ -627,34 +703,12 @@ impl World {
         self.time
     }
 
-    /// Processes the next event (in the global `(time, origin, seq)` order,
-    /// across all shards). Returns `false` when the queues are empty.
-    pub fn step(&mut self) -> bool {
-        self.sync_replicas_if_dirty();
-        let stepped = self.step_inner();
-        self.sync();
-        stepped
-    }
-
     /// Runs all events with `time <= until`, then advances the clock to
     /// `until`.
     pub fn run_until(&mut self, until: SimTime) {
         self.sync_replicas_if_dirty();
-        if self.profiling {
-            self.run_windows_profiled(until);
-        } else if self.shards.len() == 1 {
-            while let Some(at) = self.shards[0].queue.peek_time() {
-                if at > until {
-                    break;
-                }
-                self.step_inner();
-            }
-        } else {
-            self.run_windows_threaded(until);
-        }
-        if self.time < until {
-            self.time = until;
-        }
+        self.run_windows(until.as_micros());
+        self.time = self.time.max(until);
         self.sync();
     }
 
@@ -664,25 +718,13 @@ impl World {
         self.run_until(until);
     }
 
-    /// Runs until the event queues drain or `max_events` were processed.
-    /// Returns the number of events processed.
-    pub fn run_to_quiescence(&mut self, max_events: u64) -> u64 {
-        self.sync_replicas_if_dirty();
-        let mut n = 0;
-        while n < max_events && self.step_inner() {
-            n += 1;
-        }
-        self.sync();
-        n
-    }
-
     // ----- failures -------------------------------------------------------
 
     /// Crashes `node` immediately: volatile state is lost, stable storage
     /// survives. No-op if already down.
     pub fn crash_now(&mut self, node: NodeId) {
         self.sync_replicas_if_dirty();
-        let s = node.0 as usize % self.shards.len();
+        let s = self.shard_of(node);
         let now = self.time;
         self.driver_call_on_shard(s, |sh| sh.crash_now_internal(now, node));
         self.sync();
@@ -692,7 +734,7 @@ impl World {
     /// `on_start` runs on each. No-op if already up.
     pub fn recover_now(&mut self, node: NodeId) {
         self.sync_replicas_if_dirty();
-        let s = node.0 as usize % self.shards.len();
+        let s = self.shard_of(node);
         let now = self.time;
         self.driver_call_on_shard(s, |sh| sh.recover_now_internal(now, node));
         self.sync();
@@ -701,23 +743,20 @@ impl World {
     /// Crashes `node` now and schedules recovery after `downtime`.
     pub fn crash_for(&mut self, node: NodeId, downtime: SimDuration) {
         self.crash_now(node);
-        let at = self.time + downtime;
-        let key = self.next_driver_key(at);
-        let s = node.0 as usize % self.shards.len();
-        self.shards[s].queue.push(key, Event::NodeUp { node });
+        self.schedule_recover(self.time + downtime, node);
     }
 
     /// Schedules a crash at absolute time `at` (clamped to now).
     pub fn schedule_crash(&mut self, at: SimTime, node: NodeId) {
         let key = self.next_driver_key(at.max(self.time));
-        let s = node.0 as usize % self.shards.len();
+        let s = self.shard_of(node);
         self.shards[s].queue.push(key, Event::NodeDown { node });
     }
 
     /// Schedules a recovery at absolute time `at` (clamped to now).
     pub fn schedule_recover(&mut self, at: SimTime, node: NodeId) {
         let key = self.next_driver_key(at.max(self.time));
-        let s = node.0 as usize % self.shards.len();
+        let s = self.shard_of(node);
         self.shards[s].queue.push(key, Event::NodeUp { node });
     }
 
@@ -754,21 +793,12 @@ impl World {
                 // Latency draw, byte accounting, and the driver key are
                 // identical whether the destination is local or remote, so
                 // a process split never shifts the schedule.
-                if self
-                    .remote
-                    .get(to.node.0 as usize)
-                    .copied()
-                    .unwrap_or(false)
-                {
+                if self.is_remote(to.node) {
                     self.egress
                         .push(remote_event(key, Address::external(), to, payload));
                     return;
                 }
-                let dest = if (to.node.0 as usize) < self.n_nodes {
-                    to.node.0 as usize % self.shards.len()
-                } else {
-                    0
-                };
+                let dest = self.shard_of(to.node);
                 self.shards[dest].queue.push(
                     key,
                     Event::Deliver {
@@ -881,13 +911,6 @@ impl World {
         &self.metrics
     }
 
-    /// Metrics access for higher-level counters recorded outside handlers.
-    /// Kept for API continuity; [`World::metrics`] suffices now that
-    /// recording takes `&self`.
-    pub fn metrics_mut(&mut self) -> &mut Metrics {
-        &mut self.metrics
-    }
-
     /// Convenience snapshot of the metrics.
     pub fn snapshot(&self) -> MetricsSnapshot {
         self.metrics.snapshot()
@@ -928,12 +951,13 @@ impl World {
     }
 
     /// Enables critical-path profiling. While on, `run_until`/`run_for`
-    /// execute the same conservative windows as the threaded engine but
-    /// process shards one at a time under a timer, accumulating per-shard
-    /// busy time and the critical path (max busy per window, summed) into
-    /// [`World::shard_profile`]. This measures the parallel schedule's
-    /// span exactly, independent of host core count; virtual-time results
-    /// are identical to unprofiled runs.
+    /// execute the same conservative windows as unprofiled runs, but the
+    /// calling thread processes every shard, timing each shard's share of
+    /// each window and accumulating per-shard busy time and the critical
+    /// path (max busy per window, summed) into [`World::shard_profile`].
+    /// This measures the parallel schedule's span exactly, independent of
+    /// host core count; virtual-time results are identical to unprofiled
+    /// runs.
     pub fn set_shard_profiling(&mut self, on: bool) {
         self.profiling = on;
     }
@@ -955,7 +979,6 @@ impl World {
     pub fn mark_remote(&mut self, node: NodeId) {
         let i = node.0 as usize;
         assert!(i < self.n_nodes, "mark_remote: unknown node {node}");
-        self.remote[i] = true;
         for sh in &mut self.shards {
             sh.remote[i] = true;
         }
@@ -963,7 +986,7 @@ impl World {
 
     /// Whether `node` is marked remote.
     pub fn is_remote(&self, node: NodeId) -> bool {
-        self.remote.get(node.0 as usize).copied().unwrap_or(false)
+        self.shards[0].is_remote(node)
     }
 
     /// Drains every delivery diverted to remote nodes since the last call,
@@ -983,29 +1006,33 @@ impl World {
     /// event joins the queue under its original key, restoring the exact
     /// global order of the single-process simulation.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the destination node is unknown or marked remote here.
-    pub fn inject_remote(&mut self, ev: RemoteEvent) {
-        let to = ev.to_address();
-        let i = to.node.0 as usize;
-        assert!(
-            i < self.n_nodes && !self.remote[i],
-            "inject_remote: node {} is not local to this world",
-            to.node
-        );
-        let key: EventKey = (ev.at(), ev.origin, ev.seq);
-        debug_assert!(key.0 >= self.time, "remote event injected into the past");
-        let from = ev.from_address();
-        let dest = i % self.shards.len();
+    /// [`InjectError::NotLocal`] if the destination node is unknown or
+    /// marked remote here; [`InjectError::InPast`] if the event is due
+    /// before this world's clock. A refused event is not queued.
+    pub fn inject_remote(&mut self, ev: RemoteEvent) -> Result<(), InjectError> {
+        let node = NodeId(ev.to_node);
+        if node.0 as usize >= self.n_nodes || self.is_remote(node) {
+            return Err(InjectError::NotLocal { node: node.0 });
+        }
+        if ev.at() < self.time {
+            return Err(InjectError::InPast {
+                at_us: ev.at_us,
+                now_us: self.time.as_micros(),
+            });
+        }
+        let (from, to) = (ev.from_address(), ev.to_address());
+        let dest = self.shard_of(node);
         self.shards[dest].queue.push(
-            key,
+            (ev.at(), ev.origin, ev.seq),
             Event::Deliver {
                 from,
                 to,
                 payload: ev.payload,
             },
         );
+        Ok(())
     }
 
     /// Earliest pending event time across all queues, in microseconds —
@@ -1020,30 +1047,17 @@ impl World {
     }
 
     /// Processes every queued event with `time < end_us` — one conservative
-    /// window of a distributed lockstep run. The window end must come from
-    /// the coordinator's global-minimum formula so no in-window event is
-    /// still in flight between processes. The clock advances to
-    /// `end_us - 1` (the last instant processed); the coordinator finalizes
-    /// run boundaries with [`World::advance_clock_to`].
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the world runs the sequential engine (`shards == 1`);
-    /// distributed deployments parallelize across processes, not shards.
+    /// window of a distributed lockstep run, itself split into the kernel's
+    /// own windows when this world has several shards. The window end must
+    /// come from the coordinator's global-minimum formula ([`window_end`])
+    /// so no in-window event is still in flight between processes. The
+    /// clock advances to `end_us - 1` (the last instant processed); the
+    /// coordinator finalizes run boundaries with
+    /// [`World::advance_clock_to`].
     pub fn run_window(&mut self, end_us: u64) {
-        assert_eq!(
-            self.shards.len(),
-            1,
-            "run_window requires the sequential engine (shards = 1)"
-        );
-        self.sync_replicas_if_dirty();
-        self.shards[0].process_until(end_us);
-        self.drain_outboxes();
-        let processed_up_to = SimTime::from_micros(end_us.saturating_sub(1));
-        if processed_up_to > self.time {
-            self.time = processed_up_to;
+        if let Some(last) = end_us.checked_sub(1) {
+            self.run_until(SimTime::from_micros(last));
         }
-        self.sync();
     }
 
     /// Advances the clock to `us` microseconds without processing events
@@ -1071,6 +1085,12 @@ impl World {
         &mut self.shards[node.0 as usize % n].slots[node.0 as usize / n]
     }
 
+    /// Shard that processes events addressed to `node` (shard 0 for
+    /// addresses outside the world).
+    fn shard_of(&self, node: NodeId) -> usize {
+        self.shards[0].shard_of_or_self(node)
+    }
+
     fn next_driver_key(&mut self, at: SimTime) -> EventKey {
         let key = (at, DRIVER_ORIGIN, self.driver_seq);
         self.driver_seq += 1;
@@ -1087,8 +1107,8 @@ impl World {
         self.drain_outboxes();
     }
 
-    /// Moves cross-shard events deposited in outboxes into the destination
-    /// queues (sequential paths; the threaded engine uses inboxes instead).
+    /// Moves cross-shard events deposited in outboxes by driver calls into
+    /// the destination queues (the dispatch loop uses inboxes instead).
     fn drain_outboxes(&mut self) {
         for i in 0..self.shards.len() {
             if self.shards[i].outbox.is_empty() {
@@ -1101,139 +1121,44 @@ impl World {
         }
     }
 
-    /// Pops and processes the globally earliest event. The scan over shard
-    /// queues makes this the exact merged order the windowed engines also
-    /// produce.
-    fn step_inner(&mut self) -> bool {
-        let Some((s, _)) = self
-            .shards
-            .iter()
-            .enumerate()
-            .filter_map(|(i, sh)| sh.queue.peek_key().map(|k| (i, k)))
-            .min_by_key(|&(i, k)| (k, i))
-        else {
-            return false;
-        };
-        let (key, ev) = self.shards[s].queue.pop().expect("peeked event vanished");
-        debug_assert!(key.0 >= self.time, "event queue went backwards");
-        self.time = key.0;
-        self.shards[s].process_event(key, ev);
-        self.drain_outboxes();
-        true
-    }
-
-    /// Instrumented sequential-window engine: identical window schedule to
-    /// the threaded engine, but shards run one at a time under a timer so
-    /// per-shard busy time and the critical path can be measured exactly
-    /// even on a single-core host.
-    fn run_windows_profiled(&mut self, until: SimTime) {
-        let until_us = until.as_micros();
-        let lookahead_us = self.lookahead.as_micros();
-        while let Some(m) = self
-            .shards
-            .iter()
-            .filter_map(|sh| sh.queue.peek_time())
-            .map(|t| t.as_micros())
-            .min()
-        {
-            if m > until_us {
-                break;
-            }
-            let end = m
-                .saturating_add(lookahead_us)
-                .min(until_us.saturating_add(1))
-                .max(m + 1);
-            self.profile.windows += 1;
-            let mut window_max = 0u64;
-            for i in 0..self.shards.len() {
-                let t0 = Instant::now();
-                self.shards[i].process_until(end);
-                let busy = t0.elapsed().as_nanos() as u64;
-                self.profile.busy_ns[i] += busy;
-                window_max = window_max.max(busy);
-            }
-            self.profile.critical_ns += window_max;
-            self.metrics.inc(keys::WINDOWS);
-            self.drain_outboxes();
-            let processed_up_to = SimTime::from_micros(end.saturating_sub(1));
-            if processed_up_to > self.time {
-                self.time = processed_up_to;
-            }
-        }
-    }
-
-    /// Parallel engine: one worker thread per shard, three barrier waits per
-    /// window (publish local minima → leader fixes the window → process and
-    /// deposit cross-shard events → make deposits visible).
-    fn run_windows_threaded(&mut self, until: SimTime) {
-        const DONE: u64 = u64::MAX;
+    /// The kernel's one dispatch loop: runs conservative windows over every
+    /// shard until no event is due at or before `until_us`. Unprofiled,
+    /// each shard gets its own worker thread, the calling thread being
+    /// worker 0; with one shard, or with profiling on, the calling thread
+    /// processes every shard and nothing is spawned.
+    fn run_windows(&mut self, until_us: u64) {
         let n = self.shards.len();
-        let until_us = until.as_micros();
-        let lookahead_us = self.lookahead.as_micros();
-        let barrier = Barrier::new(n);
-        let window = AtomicU64::new(0);
-        let next_min = AtomicU64::new(u64::MAX);
-        let windows = AtomicU64::new(0);
-        let inboxes: Vec<Mutex<Vec<(EventKey, Event)>>> =
-            (0..n).map(|_| Mutex::new(Vec::new())).collect();
+        let workers = if n == 1 || self.profiling { 1 } else { n };
+        let sync = WindowSync {
+            barrier: Barrier::new(workers),
+            until_us,
+            // A lone shard receives no cross-shard events: one window can
+            // span the whole run.
+            lookahead_us: if n == 1 {
+                u64::MAX
+            } else {
+                self.lookahead.as_micros()
+            },
+            window: AtomicU64::new(DONE),
+            next_min: AtomicU64::new(u64::MAX),
+            windows: AtomicU64::new(0),
+            inboxes: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
+        };
+        let profile = self.profiling.then_some(&mut self.profile);
         std::thread::scope(|scope| {
-            for shard in &mut self.shards {
-                let barrier = &barrier;
-                let window = &window;
-                let next_min = &next_min;
-                let windows = &windows;
-                let inboxes = &inboxes;
-                scope.spawn(move || loop {
-                    // Drain events deposited for us in the previous window.
-                    let items = std::mem::take(&mut *inboxes[shard.id].lock().expect("inbox"));
-                    for (key, ev) in items {
-                        shard.queue.push(key, ev);
-                    }
-                    let local = shard
-                        .queue
-                        .peek_time()
-                        .map(|t| t.as_micros())
-                        .unwrap_or(u64::MAX);
-                    next_min.fetch_min(local, Ordering::AcqRel);
-                    if barrier.wait().is_leader() {
-                        let m = next_min.swap(u64::MAX, Ordering::AcqRel);
-                        let w = if m == u64::MAX || m > until_us {
-                            DONE
-                        } else {
-                            windows.fetch_add(1, Ordering::Relaxed);
-                            m.saturating_add(lookahead_us)
-                                .min(until_us.saturating_add(1))
-                                .max(m + 1)
-                        };
-                        window.store(w, Ordering::Release);
-                    }
-                    barrier.wait();
-                    let end = window.load(Ordering::Acquire);
-                    if end == DONE {
-                        break;
-                    }
-                    while let Some(key) = shard.queue.peek_key() {
-                        if key.0.as_micros() >= end {
-                            break;
-                        }
-                        let (key, ev) = shard.queue.pop().expect("peeked event vanished");
-                        shard.process_event(key, ev);
-                        for (dest, dkey, dev) in shard.outbox.drain(..) {
-                            debug_assert!(
-                                dkey.0.as_micros() >= end,
-                                "cross-shard event due inside the current window"
-                            );
-                            inboxes[dest].lock().expect("inbox").push((dkey, dev));
-                        }
-                    }
-                    // Make this window's deposits visible before anyone
-                    // drains inboxes for the next one.
-                    barrier.wait();
-                });
+            let mut groups = self.shards.chunks_mut(n / workers);
+            let caller = groups.next().expect("a world has at least one shard");
+            for group in groups {
+                let sync = &sync;
+                scope.spawn(move || sync.work(group, None));
             }
+            sync.work(caller, profile);
         });
-        self.metrics
-            .add(keys::WINDOWS, windows.load(Ordering::Relaxed));
+        // Window counts describe the engine, not the simulation; a one-shard
+        // world reports none, so it matches a process-split control.
+        if n > 1 {
+            self.metrics.add(keys::WINDOWS, sync.windows.into_inner());
+        }
     }
 
     fn sync_replicas_if_dirty(&mut self) {
@@ -1334,7 +1259,7 @@ mod tests {
         w.add_service(a, "starter", move || Box::new(Starter { peer: echo_b }));
         w.add_service(b, "echo", || Box::new(Echo { seen: 0 }));
         w.start();
-        w.run_to_quiescence(100);
+        w.run_for(SimDuration::from_secs(1));
         // starter(a) -> echo(b) -> reply lands back on starter(a).
         assert_eq!(w.service_mut::<Echo>(b, "echo").unwrap().seen, 1);
         assert_eq!(w.service_mut::<Echo>(a, "echo").unwrap().seen, 0);
@@ -1347,7 +1272,7 @@ mod tests {
         w.add_service(a, "echo", || Box::new(Echo { seen: 0 }));
         w.start();
         w.post(Address::new(a, "echo"), b"x".to_vec());
-        w.run_to_quiescence(10);
+        w.run_for(SimDuration::from_secs(1));
         assert_eq!(w.service_mut::<Echo>(a, "echo").unwrap().seen, 1);
     }
 
@@ -1359,7 +1284,7 @@ mod tests {
         w.start();
         w.post(Address::new(b, "echo"), b"x".to_vec());
         w.crash_now(b); // message still in flight
-        w.run_to_quiescence(10);
+        w.run_for(SimDuration::from_secs(1));
         assert_eq!(w.metrics().counter(keys::MSGS_DROPPED_NODE_DOWN), 1);
         assert!(!w.is_up(b));
         w.recover_now(b);
@@ -1377,7 +1302,7 @@ mod tests {
         w.add_service(a, "starter", move || Box::new(Starter { peer: target }));
         w.net_mut().set_link(a, b, false);
         w.start();
-        w.run_to_quiescence(10);
+        w.run_for(SimDuration::from_secs(1));
         assert_eq!(w.metrics().counter(keys::MSGS_DROPPED_LINK_DOWN), 1);
         assert_eq!(w.service_mut::<Echo>(b, "echo").unwrap().seen, 0);
     }
@@ -1442,7 +1367,7 @@ mod tests {
             w.add_service(b, "echo", || Box::new(Echo { seen: 0 }));
             w.start();
             w.crash_for(b, SimDuration::from_millis(3));
-            w.run_to_quiescence(1000);
+            w.run_for(SimDuration::from_secs(1));
             (w.snapshot(), w.trace().records().to_vec())
         }
         let (m1, t1) = run(7);
@@ -1472,8 +1397,8 @@ mod tests {
     );
 
     /// Builds a busy little world: 6 nodes, echo + ping-pong + tickers, a
-    /// mid-run crash and a link flap, returning its observable outcome.
-    fn shard_scenario(shards: usize, threaded_runs: bool) -> ScenarioOutcome {
+    /// scheduled mid-run crash and a link flap, started and kicked.
+    fn shard_world(shards: usize, profiling: bool) -> (World, Vec<NodeId>) {
         let mut cfg = WorldConfig::with_seed(42);
         cfg.trace = true;
         cfg.shards = shards;
@@ -1490,6 +1415,7 @@ mod tests {
                 })
             });
         }
+        w.set_shard_profiling(profiling);
         w.start();
         // Persist something per delivery so stable stores diverge if order does.
         w.schedule_crash(SimTime::from_micros(9000), nodes[3]);
@@ -1499,8 +1425,14 @@ mod tests {
         for &n in &nodes {
             w.post(Address::new(n, "echo"), b"kick".to_vec());
         }
+        (w, nodes)
+    }
+
+    /// Runs [`shard_world`] to 50 ms and returns its observable outcome.
+    fn shard_scenario(shards: usize, threaded_runs: bool) -> ScenarioOutcome {
+        let (mut w, nodes) = shard_world(shards, false);
         if threaded_runs {
-            // Several run_until calls so the windowed engine stops/starts.
+            // Several run_until calls so the dispatch loop stops and restarts.
             for _ in 0..10 {
                 w.run_for(SimDuration::from_millis(5));
             }
@@ -1541,35 +1473,8 @@ mod tests {
     #[test]
     fn profiled_runs_match_threaded_and_populate_profile() {
         let (mut m_thr, t_thr, s_thr) = shard_scenario(3, true);
-        let run_profiled = || {
-            let mut cfg = WorldConfig::with_seed(42);
-            cfg.trace = true;
-            cfg.shards = 3;
-            World::new(cfg)
-        };
-        // Re-run scenario manually with profiling on.
-        let mut w = run_profiled();
-        let nodes: Vec<NodeId> = (0..6).map(|_| w.add_node()).collect();
-        for (i, &n) in nodes.iter().enumerate() {
-            w.add_service(n, "echo", || Box::new(Echo { seen: 0 }));
-            let peer = Address::new(nodes[(i + 1) % nodes.len()], "echo");
-            w.add_service(n, "starter", move || Box::new(Starter { peer }));
-            w.add_service(n, "tick", || {
-                Box::new(Ticker {
-                    fires: 0,
-                    period: SimDuration::from_millis(7),
-                })
-            });
-        }
-        w.set_shard_profiling(true);
-        w.start();
-        w.schedule_crash(SimTime::from_micros(9000), nodes[3]);
-        w.schedule_recover(SimTime::from_micros(14000), nodes[3]);
-        w.schedule_link(SimTime::from_micros(4000), nodes[1], nodes[2], false);
-        w.schedule_link(SimTime::from_micros(21000), nodes[1], nodes[2], true);
-        for &n in &nodes {
-            w.post(Address::new(n, "echo"), b"kick".to_vec());
-        }
+        // Re-run scenario with profiling on.
+        let (mut w, nodes) = shard_world(3, true);
         for _ in 0..10 {
             w.run_for(SimDuration::from_millis(5));
         }
@@ -1597,9 +1502,10 @@ mod tests {
     }
 
     #[test]
-    fn step_order_is_global_across_shards() {
+    fn trace_order_is_global_across_shards() {
         let mut cfg = WorldConfig::with_seed(5);
         cfg.shards = 3;
+        cfg.trace = true;
         let mut w = World::new(cfg);
         let nodes: Vec<NodeId> = (0..6).map(|_| w.add_node()).collect();
         for &n in &nodes {
@@ -1609,11 +1515,12 @@ mod tests {
         for &n in &nodes {
             w.post(Address::new(n, "echo"), b"x".to_vec());
         }
-        let mut last = SimTime::ZERO;
-        while w.step() {
-            assert!(w.now() >= last, "time went backwards across shards");
-            last = w.now();
-        }
+        w.run_for(SimDuration::from_secs(1));
+        let times: Vec<SimTime> = w.trace().records().iter().map(|r| r.at).collect();
+        assert!(
+            times.windows(2).all(|p| p[0] <= p[1]),
+            "time went backwards across shards"
+        );
         assert_eq!(w.metrics().counter(keys::MSGS_DELIVERED), 6);
     }
 
@@ -1663,8 +1570,10 @@ mod tests {
         }
     }
 
-    fn pinger_world(owned: Option<&[u32]>) -> World {
-        let mut w = World::new(WorldConfig::with_seed(11));
+    fn pinger_world(owned: Option<&[u32]>, shards: usize) -> World {
+        let mut cfg = WorldConfig::with_seed(11);
+        cfg.shards = shards;
+        let mut w = World::new(cfg);
         let nodes: Vec<NodeId> = (0..4).map(|_| w.add_node()).collect();
         for (i, &n) in nodes.iter().enumerate() {
             let local = match owned {
@@ -1696,7 +1605,7 @@ mod tests {
                     .iter_mut()
                     .find(|w| !w.is_remote(NodeId(ev.to_node)))
                     .expect("every node has an owner");
-                owner.inject_remote(ev);
+                owner.inject_remote(ev).expect("relayed event is local");
             }
             let Some(m) = worlds.iter().filter_map(World::local_min_us).min() else {
                 break;
@@ -1704,10 +1613,7 @@ mod tests {
             if m > until_us {
                 break;
             }
-            let end = m
-                .saturating_add(lookahead_us)
-                .min(until_us.saturating_add(1))
-                .max(m + 1);
+            let end = window_end(m, lookahead_us, until_us);
             for w in worlds.iter_mut() {
                 w.run_window(end);
             }
@@ -1717,18 +1623,23 @@ mod tests {
         }
     }
 
-    #[test]
-    fn remote_split_matches_single_process_run() {
-        let mut control = pinger_world(None);
+    /// Splits the pinger world into processes owning `halves` (node set,
+    /// shard count) and checks the split against a one-shard,
+    /// single-process control run.
+    fn assert_split_matches_control(halves: &[(&[u32], usize)]) {
+        let mut control = pinger_world(None, 1);
         control.run_until(SimTime::from_micros(100_000));
 
         let lookahead = LatencyModel::lan().min_latency().as_micros();
-        let mut halves = [pinger_world(Some(&[0, 2])), pinger_world(Some(&[1, 3]))];
-        run_split_until(&mut halves, 100_000, lookahead);
+        let mut worlds: Vec<World> = halves
+            .iter()
+            .map(|&(owned, shards)| pinger_world(Some(owned), shards))
+            .collect();
+        run_split_until(&mut worlds, 100_000, lookahead);
 
         for n in 0..4u32 {
             let node = NodeId(n);
-            let owner = halves
+            let owner = worlds
                 .iter()
                 .find(|w| !w.is_remote(node))
                 .expect("owner exists");
@@ -1741,9 +1652,8 @@ mod tests {
             assert_eq!(dump(&control), dump(owner), "stable diverged on {node}");
             assert_eq!(owner.now(), control.now());
         }
-        // Counters split across the two processes must sum to the control's.
+        // Counters split across the processes must sum to the control's.
         let c = control.snapshot();
-        let (a, b) = (halves[0].snapshot(), halves[1].snapshot());
         for key in [
             keys::MSGS_DELIVERED,
             keys::BYTES_SENT,
@@ -1751,17 +1661,21 @@ mod tests {
             keys::STABLE_COMMITS,
             keys::EVENTS,
         ] {
-            assert_eq!(
-                c.counter(key),
-                a.counter(key) + b.counter(key),
-                "counter {key} diverged"
-            );
+            let split: u64 = worlds.iter().map(|w| w.snapshot().counter(key)).sum();
+            assert_eq!(c.counter(key), split, "counter {key} diverged");
         }
     }
 
     #[test]
+    fn remote_split_matches_single_process_run() {
+        assert_split_matches_control(&[(&[0, 2], 1), (&[1, 3], 1)]);
+        // A sharded process runs its own windows inside each lockstep one.
+        assert_split_matches_control(&[(&[0, 1, 2], 2), (&[3], 1)]);
+    }
+
+    #[test]
     fn driver_post_to_remote_node_diverts_with_billing() {
-        let mut w = pinger_world(Some(&[0, 2]));
+        let mut w = pinger_world(Some(&[0, 2]), 1);
         let before = w.snapshot().counter(keys::BYTES_SENT);
         w.post(Address::new(NodeId(1), "ping"), b"ext".to_vec());
         assert_eq!(w.snapshot().counter(keys::BYTES_SENT), before + 3);
@@ -1775,9 +1689,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "not local")]
     fn inject_remote_rejects_foreign_destination() {
-        let mut w = pinger_world(Some(&[0, 2]));
+        let mut w = pinger_world(Some(&[0, 2]), 1);
         let ev = RemoteEvent {
             at_us: 10,
             origin: 0,
@@ -1788,6 +1701,16 @@ mod tests {
             to_service: "ping".to_owned(),
             payload: vec![],
         };
-        w.inject_remote(ev);
+        let before = w.pending_events();
+        assert_eq!(
+            w.inject_remote(ev.clone()),
+            Err(InjectError::NotLocal { node: 1 })
+        );
+        let unknown = RemoteEvent { to_node: 99, ..ev };
+        assert_eq!(
+            w.inject_remote(unknown),
+            Err(InjectError::NotLocal { node: 99 })
+        );
+        assert_eq!(w.pending_events(), before, "refused events are not queued");
     }
 }
